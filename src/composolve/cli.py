@@ -24,13 +24,15 @@ _SCHEMA_PATH = Path(__file__).resolve().parents[2] / "schema" / "experiment_conf
 def load_config(path):
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    try:
+    try:  # jsonschema is a test extra; the schema ships with the repo, not the wheel
         import jsonschema
 
         with open(_SCHEMA_PATH, encoding="utf-8") as fh:
-            jsonschema.validate(cfg, json.load(fh))
-    except FileNotFoundError:
-        pass  # schema ships with the repo, not the wheel
+            schema = json.load(fh)
+    except (ImportError, FileNotFoundError) as err:
+        warnings.warn(f"config not validated: {err}")
+        return cfg
+    jsonschema.validate(cfg, schema)
     return cfg
 
 
@@ -91,46 +93,46 @@ def compute_reference(problem, reg, ref_cfg):
     return res.x_final, residual, eta
 
 
+# Solver name -> (step-size key, function in `solvers`, spec and seed ->
+# keyword arguments). The function is looked up by name at call time, so a
+# solver replaced on the module (for instrumentation) is the one called.
+_SOLVERS = {
+    "vrsc_pg": ("eta", "vrsc_pg", lambda spec, seed: dict(cfg=solvers.VrscpgConfig(
+        eta=spec["eta"], m=spec["m"], S_epochs=spec["S_epochs"],
+        A=spec["A"], B=spec["B"], b1=spec["b1"], seed=seed,
+    ))),
+    "scpg": ("alpha0", "scpg_baseline", lambda spec, seed: dict(
+        alpha0=spec["alpha0"], beta0=spec.get("beta0", 1.0),
+        exp_alpha=spec.get("exp_alpha", 0.75), exp_beta=spec.get("exp_beta", 0.5),
+        iters=spec.get("iters", 10**9), seed=seed,
+    )),
+    "prox_svrg": ("eta", "prox_svrg", lambda spec, seed: dict(
+        eta=spec["eta"], m=spec["m"], S_epochs=spec["S_epochs"], seed=seed,
+    )),
+    "prox_full_gradient": ("eta", "prox_full_gradient", lambda spec, seed: dict(
+        eta=spec["eta"], iters=spec.get("iters", 10_000), tol=spec.get("tol", 0.0),
+    )),
+}
+
+
+def _solver(name):
+    if name not in _SOLVERS:
+        raise ValueError(f"unknown solver name: {name!r}")
+    return _SOLVERS[name]
+
+
 def _run_one(solver_spec, problem, reg, seed, budget, x_star, stride):
-    name = solver_spec["name"]
-    common = dict(
-        x_star=x_star,
-        trace_stride=stride,
-        budget_queries=budget.get("max_queries"),
+    _, fn_name, kwargs = _solver(solver_spec["name"])
+    return getattr(solvers, fn_name)(
+        problem, reg, **kwargs(solver_spec, seed), x_star=x_star,
+        trace_stride=stride, budget_queries=budget.get("max_queries"),
         budget_wall_s=budget.get("max_wall_s"),
     )
-    if name == "vrsc_pg":
-        cfg = solvers.VrscpgConfig(
-            eta=solver_spec["eta"], m=solver_spec["m"],
-            S_epochs=solver_spec["S_epochs"], A=solver_spec["A"],
-            B=solver_spec["B"], b1=solver_spec["b1"], seed=seed,
-        )
-        return solvers.vrsc_pg(problem, reg, cfg, **common)
-    if name == "scpg":
-        return solvers.scpg_baseline(
-            problem, reg,
-            alpha0=solver_spec["alpha0"], beta0=solver_spec.get("beta0", 1.0),
-            exp_alpha=solver_spec.get("exp_alpha", 0.75),
-            exp_beta=solver_spec.get("exp_beta", 0.5),
-            iters=solver_spec.get("iters", 10**9), seed=seed, **common,
-        )
-    if name == "prox_svrg":
-        return solvers.prox_svrg(
-            problem, reg, eta=solver_spec["eta"], m=solver_spec["m"],
-            S_epochs=solver_spec["S_epochs"], seed=seed, **common,
-        )
-    if name == "prox_full_gradient":
-        return solvers.prox_full_gradient(
-            problem, reg, eta=solver_spec["eta"],
-            iters=solver_spec.get("iters", 10_000),
-            tol=solver_spec.get("tol", 0.0), **common,
-        )
-    raise ValueError(f"unknown solver name: {name!r}")
 
 
 def tune_step_size(solver_spec, problem, reg, seed, budget, x_star, stride):
     """Pick the grid step size with the best final objective gap."""
-    key = "alpha0" if solver_spec["name"] == "scpg" else "eta"
+    key = _solver(solver_spec["name"])[0]
     grid = solver_spec.get("eta_grid", list(DEFAULT_ETA_GRID))
     tune_budget = dict(budget)
     if budget.get("max_queries"):
@@ -214,7 +216,7 @@ def cmd_run(config, out_dir):
     for spec in config.get("solvers", []):
         spec = dict(spec)
         label = spec.get("label", spec["name"])
-        key = "alpha0" if spec["name"] == "scpg" else "eta"
+        key = _solver(spec["name"])[0]
         if spec.get(key) == "tune":
             spec[key] = tune_step_size(
                 spec, prob, reg, seeds[0], budget, x_star, stride

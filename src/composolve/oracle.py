@@ -54,8 +54,9 @@ class QueryCounter:
 class CountedCompositionProblem(CompositionProblem):
     """Delegating wrapper that counts every per-index evaluator call.
 
-    Numerical outputs are exactly those of the wrapped problem; full-batch
-    operations inherit the generic loops so they are charged per index.
+    Numerical outputs are exactly those of the wrapped problem. The mean
+    inner Jacobian comes from the problem's own method at n2 queries; the
+    other full-batch operations inherit the generic per-index loops.
     """
 
     def __init__(self, problem):
@@ -73,6 +74,10 @@ class CountedCompositionProblem(CompositionProblem):
     def inner_jacobian_batch(self, js, x):
         self.counter.add(inner_jacobian=len(js))
         return self._problem.inner_jacobian_batch(js, x)
+
+    def full_inner_jacobian(self, x):
+        self.counter.add(inner_jacobian=self.n2)
+        return self._problem.full_inner_jacobian(x)
 
     def outer_value_batch(self, is_, y):
         return self._problem.outer_value_batch(is_, y)

@@ -308,12 +308,6 @@ class LinQuadProblem(CompositionProblem):
         rhs = self.q_bar.T @ (self.b_bar - self.c_bar)
         return np.linalg.solve(self.hessian(), rhs)
 
-    def closed_form_gradient(self, x):
-        return self.hessian() @ x - self.q_bar.T @ (self.b_bar - self.c_bar)
-
-    def minimum_value(self):
-        return self.objective_f(self.unregularized_optimum())
-
     def constants(self, radius=10.0):
         """Smoothness/convexity constants, with gradient bounds over a ball.
 

@@ -6,10 +6,16 @@ snapshot differences so their variance vanishes as iterates approach the
 snapshot. Baselines: a two-timescale stochastic compositional gradient
 method with decaying steps, proximal SVRG for plain finite sums, and a
 deterministic proximal full-gradient reference.
+
+Each solver supplies only its update rule, as a generator of iterates;
+one shared loop (`_drive`) counts queries, records the trace, stops on a
+non-finite iterate and enforces both budgets. The query and wall-clock
+budgets are checked before every full pass and every step, and a full
+pass is paid only if a step can follow it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -87,7 +93,6 @@ class SolveResult:
     trace: List[TraceRecord]
     counter: QueryCounter
     n_iters: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def compute_snapshot(problem, x_tilde):
@@ -137,9 +142,31 @@ def estimate_gradient_vt(snap, problem, g_hat, j_hat, i_indices):
 # -- solvers ------------------------------------------------------------------
 
 
-def _check_finite(x, trace):
-    if not np.all(np.isfinite(x)):
-        raise DivergedError("solver produced a non-finite iterate", trace, x)
+def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
+           budget_wall_s, steps):
+    """Shared solver loop around steps(cp, x, room).
+
+    steps yields (epoch, inner_iter, x) after each update, and returns when
+    room(cost) before a full pass of cost queries, or room() before a step,
+    is false.
+    """
+    cp, counter = counted(problem)
+    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
+    rec = TraceRecorder(problem, reg, eta, counter, x_star=x_star, stride=trace_stride)
+    rec.record(0, 0, x, force=True)
+
+    def room(cost=0):
+        if budget_queries is not None and counter.total + cost >= budget_queries:
+            return False
+        return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
+
+    iters = 0
+    for epoch, inner_iter, x in steps(cp, x, room):
+        if not np.all(np.isfinite(x)):
+            raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
+        iters += 1
+        rec.record(epoch, inner_iter, x)
+    return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 
 def vrsc_pg(
@@ -162,47 +189,32 @@ def vrsc_pg(
     over every index, which reduces the method to deterministic proximal
     gradient descent when m = 1.
     """
-    cp, counter = counted(problem)
-    rng = RngStream(cfg.seed)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rec = TraceRecorder(
-        problem, reg, cfg.eta, counter, x_star=x_star, stride=trace_stride
-    )
-    rec.record(0, 0, x, force=True)
-    epoch_cost = full_gradient_cost(problem.n1, problem.n2)
-    iters = 0
-    stop = False
-    for s in range(cfg.S_epochs):
-        if budget_queries is not None and counter.total + epoch_cost > budget_queries:
-            break
-        if budget_wall_s is not None and rec.elapsed_s() >= budget_wall_s:
-            break
-        snap = compute_snapshot(cp, x)
-        for t in range(cfg.m):
-            if budget_queries is not None and counter.total >= budget_queries:
-                stop = True
-                break
-            if budget_wall_s is not None and rec.elapsed_s() >= budget_wall_s:
-                stop = True
-                break
-            if exact_full_batches:
-                a_idx = np.arange(problem.n2)
-                b_idx = np.arange(problem.n2)
-                i_idx = np.arange(problem.n1)
-            else:
-                a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
-                b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
-                i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
-            g_hat = estimate_inner_value(snap, cp, x, a_idx)
-            j_hat = estimate_inner_jacobian(snap, cp, x, b_idx)
-            v_t = estimate_gradient_vt(snap, cp, g_hat, j_hat, i_idx)
-            x = reg.prox(x - cfg.eta * v_t, cfg.eta)
-            _check_finite(x, rec.rows)
-            iters += 1
-            rec.record(s, t + 1, x)
-        if stop:
-            break
-    return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
+
+    def steps(cp, x, room):
+        rng = RngStream(cfg.seed)
+        for s in range(cfg.S_epochs):
+            if not room(full_gradient_cost(problem.n1, problem.n2)):
+                return
+            snap = compute_snapshot(cp, x)
+            for t in range(cfg.m):
+                if not room():
+                    return
+                if exact_full_batches:
+                    a_idx = np.arange(problem.n2)
+                    b_idx = np.arange(problem.n2)
+                    i_idx = np.arange(problem.n1)
+                else:
+                    a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
+                    b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
+                    i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
+                g_hat = estimate_inner_value(snap, cp, x, a_idx)
+                j_hat = estimate_inner_jacobian(snap, cp, x, b_idx)
+                v_t = estimate_gradient_vt(snap, cp, g_hat, j_hat, i_idx)
+                x = reg.prox(x - cfg.eta * v_t, cfg.eta)
+                yield s, t + 1, x
+
+    return _drive(problem, reg, cfg.eta, x0, x_star, trace_stride,
+                  budget_queries, budget_wall_s, steps)
 
 
 def scpg_baseline(
@@ -231,33 +243,26 @@ def scpg_baseline(
         raise ValueError("alpha0 and beta0 must be positive")
     if not (0 < exp_alpha <= 1 and 0 < exp_beta <= 1):
         raise ValueError("decay exponents must lie in (0, 1]")
-    cp, counter = counted(problem)
-    rng = RngStream(seed)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
-    y = np.zeros(problem.dim_y)
-    rec = TraceRecorder(
-        problem, reg, alpha0, counter, x_star=x_star, stride=trace_stride
-    )
-    rec.record(0, 0, x, force=True)
-    done = 0
-    for t in range(iters):
-        if budget_queries is not None and counter.total >= budget_queries:
-            break
-        if budget_wall_s is not None and rec.elapsed_s() >= budget_wall_s:
-            break
-        alpha_t = alpha0 / (1.0 + t) ** exp_alpha
-        beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
-        j = sample_with_replacement(rng, problem.n2, 1)
-        g_j = cp.inner_value_batch(j, x)[0]
-        y = (1.0 - beta_t) * y + beta_t * g_j
-        jac_j = cp.inner_jacobian_batch(j, x)[0]
-        i = sample_with_replacement(rng, problem.n1, 1)
-        grad_i = cp.outer_gradient_batch(i, y)[0]
-        x = reg.prox(x - alpha_t * (jac_j.T @ grad_i), alpha_t)
-        _check_finite(x, rec.rows)
-        done += 1
-        rec.record(0, t + 1, x)
-    return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=done)
+
+    def steps(cp, x, room):
+        rng = RngStream(seed)
+        y = np.zeros(problem.dim_y)
+        for t in range(iters):
+            if not room():
+                return
+            alpha_t = alpha0 / (1.0 + t) ** exp_alpha
+            beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
+            j = sample_with_replacement(rng, problem.n2, 1)
+            g_j = cp.inner_value_batch(j, x)[0]
+            y = (1.0 - beta_t) * y + beta_t * g_j
+            jac_j = cp.inner_jacobian_batch(j, x)[0]
+            i = sample_with_replacement(rng, problem.n1, 1)
+            grad_i = cp.outer_gradient_batch(i, y)[0]
+            x = reg.prox(x - alpha_t * (jac_j.T @ grad_i), alpha_t)
+            yield 0, t + 1, x
+
+    return _drive(problem, reg, alpha0, x0, x_star, trace_stride,
+                  budget_queries, budget_wall_s, steps)
 
 
 def prox_svrg(
@@ -280,38 +285,28 @@ def prox_svrg(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    cp, counter = counted(fsp)
-    rng = RngStream(seed)
-    x = np.zeros(fsp.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rec = TraceRecorder(fsp, reg, eta, counter, x_star=x_star, stride=trace_stride)
-    rec.record(0, 0, x, force=True)
-    iters = 0
-    stop = False
-    for s in range(S_epochs):
-        if budget_queries is not None and counter.total + fsp.n > budget_queries:
-            break
-        x_tilde = x
-        f_prime = cp.full_gradient(x_tilde)
-        for t in range(m):
-            if budget_queries is not None and counter.total >= budget_queries:
-                stop = True
-                break
-            if budget_wall_s is not None and rec.elapsed_s() >= budget_wall_s:
-                stop = True
-                break
-            i = sample_with_replacement(rng, fsp.n, 1)
-            v_t = (
-                cp.comp_gradient_batch(i, x)[0]
-                - cp.comp_gradient_batch(i, x_tilde)[0]
-                + f_prime
-            )
-            x = reg.prox(x - eta * v_t, eta)
-            _check_finite(x, rec.rows)
-            iters += 1
-            rec.record(s, t + 1, x)
-        if stop:
-            break
-    return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
+
+    def steps(cp, x, room):
+        rng = RngStream(seed)
+        for s in range(S_epochs):
+            if not room(fsp.n):
+                return
+            x_tilde = x
+            f_prime = cp.full_gradient(x_tilde)
+            for t in range(m):
+                if not room():
+                    return
+                i = sample_with_replacement(rng, fsp.n, 1)
+                v_t = (
+                    cp.comp_gradient_batch(i, x)[0]
+                    - cp.comp_gradient_batch(i, x_tilde)[0]
+                    + f_prime
+                )
+                x = reg.prox(x - eta * v_t, eta)
+                yield s, t + 1, x
+
+    return _drive(fsp, reg, eta, x0, x_star, trace_stride,
+                  budget_queries, budget_wall_s, steps)
 
 
 def prox_full_gradient(
@@ -333,25 +328,19 @@ def prox_full_gradient(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    cp, counter = counted(problem)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
-    rec = TraceRecorder(problem, reg, eta, counter, x_star=x_star, stride=trace_stride)
-    rec.record(0, 0, x, force=True)
-    done = 0
-    for t in range(iters):
-        if budget_queries is not None and counter.total >= budget_queries:
-            break
-        if budget_wall_s is not None and rec.elapsed_s() >= budget_wall_s:
-            break
-        x_next = reg.prox(x - eta * cp.full_gradient(x), eta)
-        _check_finite(x_next, rec.rows)
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        done += 1
-        rec.record(t + 1, 0, x)
-        if step <= tol:
-            break
-    return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=done)
+
+    def steps(cp, x, room):
+        for t in range(iters):
+            if not room():
+                return
+            x_prev = x
+            x = reg.prox(x - eta * cp.full_gradient(x), eta)
+            yield t + 1, 0, x
+            if np.linalg.norm(x - x_prev) <= tol:
+                return
+
+    return _drive(problem, reg, eta, x0, x_star, trace_stride,
+                  budget_queries, budget_wall_s, steps)
 
 
 def gradient_mapping(problem, reg, x, eta):

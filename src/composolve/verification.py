@@ -135,12 +135,17 @@ def check_query_exactness():
 
 
 def check_counting_transparency():
-    prob = _toy_portfolio()
-    wrapped, _ = oracle.counted(prob)
     rng = RngStream(17)
-    x = rng.normal(size=prob.dim_x)
-    same = np.array_equal(prob.full_gradient(x), wrapped.full_gradient(x))
-    return "counting wrapper changes no numbers", same, "bitwise gradient compare"
+    same = True
+    # n2 = 70 > 64: a chunked generic Jacobian loop would sum in another order
+    for prob in (_toy_portfolio(), _toy_policy_eval(), _toy_linquad(n2=70)):
+        wrapped, _ = oracle.counted(prob)
+        x = rng.normal(size=prob.dim_x)
+        for name in ("full_gradient", "full_inner_jacobian"):
+            same &= np.array_equal(getattr(prob, name)(x), getattr(wrapped, name)(x))
+    return "counting wrapper changes no numbers", same, (
+        "bitwise gradient and Jacobian, every problem class"
+    )
 
 
 def check_snapshot_cancellation():

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -62,6 +63,20 @@ class TestLoadConfig:
         path = write_config(tmp_path, cfg)
         with pytest.raises(jsonschema.ValidationError):
             cli.load_config(path)
+
+    def test_without_jsonschema_warns_and_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        path = write_config(tmp_path, small_config(tmp_path))
+        with pytest.warns(UserWarning, match="not validated: .*jsonschema"):
+            cfg = cli.load_config(path)
+        assert cfg["problem"]["kind"] == "linquad"
+
+    def test_without_schema_file_warns_and_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_SCHEMA_PATH", tmp_path / "missing.json")
+        path = write_config(tmp_path, small_config(tmp_path))
+        with pytest.warns(UserWarning, match="not validated: .*missing.json"):
+            cfg = cli.load_config(path)
+        assert cfg["problem"]["kind"] == "linquad"
 
 
 class TestBuildProblem:
@@ -153,6 +168,16 @@ class TestCmdRun:
         # at most one inner iteration of overshoot: 2(A + B + b1) = 18
         for entry in summary["runs"]:
             assert entry["total_queries"] <= 1500 + 18
+
+    def test_wall_budget_respected(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg["budget"] = {"max_wall_s": 1e-9}
+        out = tmp_path / "out"
+        summary = cli.cmd_run(cfg, out)
+        assert len(summary["runs"]) == 2
+        for entry in summary["runs"]:
+            assert entry["total_queries"] == 0
+            assert len(cli.read_trace_csv(out / entry["trace"])) == 1
 
     def test_empty_solver_list_still_writes_summary(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[])

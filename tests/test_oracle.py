@@ -10,7 +10,14 @@ from composolve.oracle import (
     scpg_cost,
     vrsc_pg_cost,
 )
-from composolve.problems import gen_lasso, gen_linquad
+from composolve.problems import (
+    PolicyEvalProblem,
+    PortfolioProblem,
+    gen_gaussian_rewards,
+    gen_lasso,
+    gen_linquad,
+    gen_mdp,
+)
 from composolve.regularizers import L1Penalty, ZeroPenalty
 from composolve import solvers
 
@@ -56,10 +63,25 @@ class TestCounter:
         assert counter.snapshot() == (2 * a, 2 * b, 2 * b1)
 
     def test_wrapper_is_transparent(self, prob):
-        cp, _ = counted(prob)
-        x = RngStream(3).normal(size=prob.dim_x)
-        assert np.array_equal(cp.full_gradient(x), prob.full_gradient(x))
-        assert cp.objective_f(x) == prob.objective_f(x)
+        rng = RngStream(3)
+        p, r = gen_mdp(9, 3, rng)
+        every_class = (
+            prob,
+            PortfolioProblem(gen_gaussian_rewards(30, 6, 2.0, rng)),
+            PolicyEvalProblem(p, r, 0.9),
+            # n2 = 70 > 64: a chunked generic Jacobian loop would sum in another order
+            gen_linquad(5, 70, 4, 3, rng),
+        )
+        for problem in every_class:
+            cp, counter = counted(problem)
+            x = rng.normal(size=problem.dim_x)
+            assert np.array_equal(cp.full_gradient(x), problem.full_gradient(x))
+            assert np.array_equal(
+                cp.full_inner_jacobian(x), problem.full_inner_jacobian(x)
+            )
+            assert cp.objective_f(x) == problem.objective_f(x)
+            n1, n2 = problem.n1, problem.n2
+            assert counter.snapshot() == (2 * n2, 2 * n2, n1)
 
 
 class TestCostFormulas:

@@ -395,6 +395,45 @@ class TestProxFullGradient:
         assert np.max(np.abs(res.x_final - v_star)) <= 1e-6
 
 
+BUDGETED_RUNS = {
+    "vrsc_pg": lambda **budget: vrsc_pg(
+        linquad(), L1Penalty(1e-3),
+        VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2), **budget,
+    ),
+    "scpg": lambda **budget: scpg_baseline(
+        linquad(), L1Penalty(1e-3), alpha0=0.05, beta0=1.0, exp_alpha=0.75,
+        exp_beta=0.5, iters=20, seed=0, **budget,
+    ),
+    "prox_svrg": lambda **budget: prox_svrg(
+        gen_lasso(40, 8, RngStream(25)), L1Penalty(1e-3), eta=0.5, m=10,
+        S_epochs=3, seed=0, **budget,
+    ),
+    "prox_full_gradient": lambda **budget: prox_full_gradient(
+        linquad(), L1Penalty(1e-3), 0.1, 20, **budget,
+    ),
+}
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+    def test_spent_wall_budget_spends_no_queries(self, name):
+        res = BUDGETED_RUNS[name](budget_wall_s=1e-9)
+        assert res.n_iters == 0
+        assert res.counter.snapshot() == (0, 0, 0)
+        assert len(res.trace) == 1
+
+    def test_snapshot_paid_only_if_a_step_can_follow(self):
+        prob = linquad(n1=10, n2=12)
+        cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
+        snapshot = prob.n1 + 2 * prob.n2
+        res = vrsc_pg(prob, ZeroPenalty(), cfg, budget_queries=snapshot)
+        assert res.counter.total == 0 and res.n_iters == 0
+        # one query more buys the snapshot and exactly one step
+        res = vrsc_pg(prob, ZeroPenalty(), cfg, budget_queries=snapshot + 1)
+        assert res.n_iters == 1
+        assert res.counter.total == snapshot + 2 * (cfg.A + cfg.B + cfg.b1)
+
+
 class TestGradientMapping:
     def test_zero_penalty_equals_gradient(self):
         prob = linquad()
