@@ -10,7 +10,7 @@ import numpy as np
 
 from . import __version__, problems, solvers, verification
 from .metrics import CSV_COLUMNS, verify_optimum
-from .numerics import RngStream, l2_norm_sq
+from .numerics import RngStream
 from .regularizers import make_regularizer
 
 # Learning-rate grid used by the tuning sweep.
@@ -40,28 +40,7 @@ def build_problem(spec):
     """Instantiate the problem named by a config's problem block."""
     if "path" in spec:
         return problems.load_problem(spec["path"])
-    kind = spec["kind"]
-    rng = RngStream(spec.get("seed", 0))
-    if kind == "portfolio":
-        rewards = problems.gen_gaussian_rewards(
-            spec["n"], spec["N"], spec.get("kappa_cov", 2.0), rng
-        )
-        return problems.PortfolioProblem(rewards)
-    if kind == "policy_eval":
-        p, r = problems.gen_mdp(spec["S"], spec.get("num_actions", 10), rng)
-        return problems.PolicyEvalProblem(p, r, spec.get("gamma", 0.95))
-    if kind == "linquad":
-        return problems.gen_linquad(
-            spec["n1"], spec["n2"], spec["M"], spec["N"], rng,
-            spread=spec.get("spread", 0.3),
-        )
-    if kind == "lasso":
-        return problems.gen_lasso(
-            spec["n"], spec["N"], rng,
-            sparsity=spec.get("sparsity", 0.2),
-            noise=spec.get("noise", 0.01),
-        )
-    raise ValueError(f"unknown problem kind: {kind!r}")
+    return problems.generate_problem(spec)
 
 
 def estimate_lipschitz(problem, seed=0, trials=5):

@@ -1,25 +1,11 @@
 """Convergence diagnostics and the per-run trace recorder."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .numerics import l2_norm_sq
-
-CSV_COLUMNS = (
-    "epoch",
-    "inner_iter",
-    "wall_ms",
-    "q_inner_val",
-    "q_inner_jac",
-    "q_outer_grad",
-    "objective",
-    "gap",
-    "grad_map_sq",
-    "composite_grad_sq",
-)
-
 
 @dataclass
 class TraceRecord:
@@ -45,6 +31,10 @@ class TraceRecord:
             f"{self.objective:.17g},{self.gap:.17g},"
             f"{self.grad_map_sq:.17g},{self.composite_grad_sq:.17g}"
         )
+
+
+# The trace CSV header: the record's fields, in declaration order.
+CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def objective_H(problem, reg, x):

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import RngStream, as_matrix, as_vector
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
@@ -48,18 +48,6 @@ class CompositionProblem:
     def outer_gradient_batch(self, is_, y):
         """Stacked gradients of F_i at y, shape (len(is_), M)."""
         raise NotImplementedError
-
-    def inner_value(self, j, x):
-        return self.inner_value_batch(np.array([j]), x)[0]
-
-    def inner_jacobian(self, j, x):
-        return self.inner_jacobian_batch(np.array([j]), x)[0]
-
-    def outer_value(self, i, y):
-        return float(self.outer_value_batch(np.array([i]), y)[0])
-
-    def outer_gradient(self, i, y):
-        return self.outer_gradient_batch(np.array([i]), y)[0]
 
     # -- full-batch quantities ------------------------------------------------
 
@@ -154,8 +142,7 @@ class PortfolioProblem(CompositionProblem):
         out[:, self.dim_x] = -t
         return out
 
-    # Inner maps are affine, so the mean Jacobian has a closed form;
-    # diagnostics use these fast paths (query counting never routes here).
+    # Inner maps are affine, so the mean Jacobian has a closed form.
     def full_inner_jacobian(self, x):
         self._check_x(x)
         return np.vstack([self._eye, self.rewards.mean(axis=0)])
@@ -213,8 +200,7 @@ class PolicyEvalProblem(CompositionProblem):
         s = self.n_states
         out = np.zeros((len(js), 2 * s, s))
         out[:, :s, :] = self._eye
-        for k, j in enumerate(js):
-            out[k, s:, j] = self.gamma * s * self.transition[:, j]
+        out[np.arange(len(js)), s:, js] = self.gamma * s * self.transition[:, js].T
         return out
 
     def outer_value_batch(self, is_, y):
@@ -288,7 +274,7 @@ class LinQuadProblem(CompositionProblem):
         return self.q_mats[js] @ x + self.c_vecs[js]
 
     def inner_jacobian_batch(self, js, x):
-        return self.q_mats[js].copy()
+        return self.q_mats[js]
 
     def outer_value_batch(self, is_, y):
         d = y - self.b_vecs[is_]
@@ -341,12 +327,6 @@ class FiniteSumProblem:
 
     def comp_gradient_batch(self, is_, x):
         raise NotImplementedError
-
-    def comp_value(self, i, x):
-        return float(self.comp_value_batch(np.array([i]), x)[0])
-
-    def comp_gradient(self, i, x):
-        return self.comp_gradient_batch(np.array([i]), x)[0]
 
     def objective_f(self, x):
         return float(self.comp_value_batch(np.arange(self.n), x).mean())
@@ -460,66 +440,77 @@ def gen_lasso(n, dim, rng, sparsity=0.2, noise=0.01):
     return LassoProblem(design, targets)
 
 
-# -- flat JSON serialization --------------------------------------------------
+# -- problem kinds: generation from a config spec and flat JSON ---------------
+
+# Problem kind -> (class, generator from a config spec and a stream, stored
+# fields in constructor order with the dims that name their axes; a scalar
+# field has none).
+_KINDS = {
+    PortfolioProblem.kind: (
+        PortfolioProblem,
+        lambda spec, rng: PortfolioProblem(
+            gen_gaussian_rewards(spec["n"], spec["N"], spec.get("kappa_cov", 2.0), rng)
+        ),
+        {"rewards": ("n", "N")},
+    ),
+    PolicyEvalProblem.kind: (
+        PolicyEvalProblem,
+        lambda spec, rng: PolicyEvalProblem(
+            *gen_mdp(spec["S"], spec.get("num_actions", 10), rng),
+            spec.get("gamma", 0.95),
+        ),
+        {"transition": ("S", "S"), "reward": ("S", "S"), "gamma": ()},
+    ),
+    LinQuadProblem.kind: (
+        LinQuadProblem,
+        lambda spec, rng: gen_linquad(
+            spec["n1"], spec["n2"], spec["M"], spec["N"], rng,
+            spread=spec.get("spread", 0.3),
+        ),
+        {"q_mats": ("n2", "M", "N"), "c_vecs": ("n2", "M"), "b_vecs": ("n1", "M")},
+    ),
+    LassoProblem.kind: (
+        LassoProblem,
+        lambda spec, rng: gen_lasso(
+            spec["n"], spec["N"], rng,
+            sparsity=spec.get("sparsity", 0.2), noise=spec.get("noise", 0.01),
+        ),
+        {"design": ("n", "N"), "targets": ("n",)},
+    ),
+}
+
+
+def _kind(kind):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    return _KINDS[kind]
+
+
+def generate_problem(spec):
+    """Generate the problem a config's problem block describes (seed 0 by default)."""
+    return _kind(spec["kind"])[1](spec, RngStream(spec.get("seed", 0)))
 
 
 def problem_to_dict(prob):
     """Flat JSON-ready document: kind, dims, row-major data arrays."""
-    if isinstance(prob, PortfolioProblem):
-        return {
-            "kind": "portfolio",
-            "dims": {"n": prob.n1, "N": prob.dim_x},
-            "rewards": prob.rewards.ravel().tolist(),
-        }
-    if isinstance(prob, PolicyEvalProblem):
-        return {
-            "kind": "policy_eval",
-            "dims": {"S": prob.n_states},
-            "transition": prob.transition.ravel().tolist(),
-            "reward": prob.reward.ravel().tolist(),
-            "gamma": prob.gamma,
-        }
-    if isinstance(prob, LinQuadProblem):
-        return {
-            "kind": "linquad",
-            "dims": {"n1": prob.n1, "n2": prob.n2, "M": prob.dim_y, "N": prob.dim_x},
-            "q_mats": prob.q_mats.ravel().tolist(),
-            "c_vecs": prob.c_vecs.ravel().tolist(),
-            "b_vecs": prob.b_vecs.ravel().tolist(),
-        }
-    if isinstance(prob, LassoProblem):
-        return {
-            "kind": "lasso",
-            "dims": {"n": prob.n, "N": prob.dim_x},
-            "design": prob.design.ravel().tolist(),
-            "targets": prob.targets.tolist(),
-        }
-    raise TypeError(f"cannot serialize problem of type {type(prob).__name__}")
+    kind = getattr(prob, "kind", None)
+    if kind not in _KINDS or not isinstance(prob, _KINDS[kind][0]):
+        raise TypeError(f"cannot serialize problem of type {type(prob).__name__}")
+    doc = {"kind": kind, "dims": {}}
+    for name, axes in _KINDS[kind][2].items():
+        value = getattr(prob, name)
+        doc["dims"].update(zip(axes, np.shape(value)))
+        doc[name] = value.ravel().tolist() if axes else value
+    return doc
 
 
 def problem_from_dict(doc):
-    kind = doc["kind"]
+    cls, _, fields = _kind(doc["kind"])
     dims = doc["dims"]
-    if kind == "portfolio":
-        rewards = np.array(doc["rewards"]).reshape(dims["n"], dims["N"])
-        return PortfolioProblem(rewards)
-    if kind == "policy_eval":
-        s = dims["S"]
-        transition = np.array(doc["transition"]).reshape(s, s)
-        reward = np.array(doc["reward"]).reshape(s, s)
-        return PolicyEvalProblem(transition, reward, doc["gamma"])
-    if kind == "linquad":
-        n1, n2 = dims["n1"], dims["n2"]
-        m, n = dims["M"], dims["N"]
-        return LinQuadProblem(
-            np.array(doc["q_mats"]).reshape(n2, m, n),
-            np.array(doc["c_vecs"]).reshape(n2, m),
-            np.array(doc["b_vecs"]).reshape(n1, m),
-        )
-    if kind == "lasso":
-        design = np.array(doc["design"]).reshape(dims["n"], dims["N"])
-        return LassoProblem(design, np.array(doc["targets"]))
-    raise ValueError(f"unknown problem kind: {kind!r}")
+    return cls(*(
+        np.array(doc[name]).reshape([dims[d] for d in axes]) if axes else doc[name]
+        for name, axes in fields.items()
+    ))
 
 
 def save_problem(prob, path):

@@ -8,10 +8,12 @@ method with decaying steps, proximal SVRG for plain finite sums, and a
 deterministic proximal full-gradient reference.
 
 Each solver supplies only its update rule, as a generator of iterates;
-one shared loop (`_drive`) counts queries, records the trace, stops on a
-non-finite iterate and enforces both budgets. The query and wall-clock
-budgets are checked before every full pass and every step, and a full
-pass is paid only if a step can follow it.
+one shared loop (`_drive`) counts queries, records the trace and enforces
+both budgets. The query and wall-clock budgets are checked before every
+full pass and every step, and a full pass is paid only if a step can
+follow it. A run whose iterate, or whose recorded objective, stops being
+finite ends with `DivergedError`; numpy's overflow warnings are silenced
+inside the loop, since that error reports the divergence.
 """
 
 import math
@@ -26,7 +28,7 @@ from .oracle import QueryCounter, counted, full_gradient_cost
 
 
 class DivergedError(RuntimeError):
-    """A solver produced a non-finite iterate; carries the last finite trace."""
+    """An iterate or its objective stopped being finite; carries the finite trace."""
 
     def __init__(self, message, trace, x_last):
         super().__init__(message)
@@ -161,11 +163,14 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
         return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
 
     iters = 0
-    for epoch, inner_iter, x in steps(cp, x, room):
-        if not np.all(np.isfinite(x)):
-            raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
-        iters += 1
-        rec.record(epoch, inner_iter, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch, inner_iter, x in steps(cp, x, room):
+            if not np.all(np.isfinite(x)):
+                raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
+            iters += 1
+            rec.record(epoch, inner_iter, x)
+            if not math.isfinite(rec.rows[-1].objective):
+                raise DivergedError("objective is no longer finite", rec.rows[:-1], x)
     return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 
@@ -178,16 +183,15 @@ def vrsc_pg(
     trace_stride=1,
     budget_queries=None,
     budget_wall_s=None,
-    exact_full_batches=False,
 ):
     """Variance-reduced stochastic compositional proximal gradient.
 
     Per epoch: snapshot full pass, then m inner iterations each sampling
     the index sets A_t, B_t, I_t independently with replacement (in that
     fixed order), forming the three estimates and taking a proximal step.
-    With exact_full_batches the index sets are replaced by one exact pass
-    over every index, which reduces the method to deterministic proximal
-    gradient descent when m = 1.
+    With m = 1 every step is taken at its own snapshot, where the estimates
+    equal the full-batch values exactly, so the method is deterministic
+    proximal gradient descent whatever the batch sizes.
     """
 
     def steps(cp, x, room):
@@ -199,14 +203,9 @@ def vrsc_pg(
             for t in range(cfg.m):
                 if not room():
                     return
-                if exact_full_batches:
-                    a_idx = np.arange(problem.n2)
-                    b_idx = np.arange(problem.n2)
-                    i_idx = np.arange(problem.n1)
-                else:
-                    a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
-                    b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
-                    i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
+                a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
+                b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
+                i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
                 g_hat = estimate_inner_value(snap, cp, x, a_idx)
                 j_hat = estimate_inner_jacobian(snap, cp, x, b_idx)
                 v_t = estimate_gradient_vt(snap, cp, g_hat, j_hat, i_idx)

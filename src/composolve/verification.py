@@ -173,10 +173,10 @@ def check_full_batch_degeneration():
     eta = 0.1
     cfg = solvers.VrscpgConfig(eta=eta, m=1, S_epochs=10, A=prob.n2, B=prob.n2,
                                b1=prob.n1, seed=0)
-    res = solvers.vrsc_pg(prob, reg, cfg, exact_full_batches=True)
+    res = solvers.vrsc_pg(prob, reg, cfg)
     ref = solvers.prox_full_gradient(prob, reg, eta, 10)
     diff = float(np.max(np.abs(res.x_final - ref.x_final)))
-    return "full-batch mode equals proximal gradient", diff <= 1e-12, (
+    return "vrsc_pg with m = 1 equals proximal gradient", diff <= 1e-12, (
         f"max |dx| = {diff:.2e}"
     )
 

@@ -144,7 +144,7 @@ def test_03_full_batch_degeneration():
     eta = 0.05
     cfg = VrscpgConfig(eta=eta, m=1, S_epochs=50, A=prob.n2, B=prob.n2,
                        b1=prob.n1, seed=0)
-    res = vrsc_pg(prob, reg, cfg, exact_full_batches=True)
+    res = vrsc_pg(prob, reg, cfg)
     ref = prox_full_gradient(prob, reg, eta, 50)
     worst = max(
         abs(a.objective - b.objective)

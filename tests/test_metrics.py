@@ -150,6 +150,13 @@ class TestTraceRecord:
         assert parts[0] == "2" and parts[1] == "7"
         assert parts[3:6] == ["100", "50", "30"]
 
+    def test_each_column_holds_its_field(self):
+        rec = self.sample()
+        parts = rec.csv_row().split(",")
+        assert len(parts) == len(CSV_COLUMNS)
+        for col, text in zip(CSV_COLUMNS, parts):
+            assert float(text) == getattr(rec, col), col
+
     def test_csv_floats_round_trip(self):
         rec = TraceRecord(
             epoch=0, inner_iter=0, wall_ms=0.1,

@@ -30,7 +30,7 @@ def prob():
 class TestCounter:
     def test_single_inner_value(self, prob):
         cp, counter = counted(prob)
-        cp.inner_value(2, np.zeros(prob.dim_x))
+        cp.inner_value_batch(np.array([2]), np.zeros(prob.dim_x))
         assert counter.snapshot() == (1, 0, 0)
 
     def test_full_gradient_counts(self, prob):

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from composolve.numerics import RngStream, central_difference_gradient
 from composolve.problems import (
+    _KINDS,
     LassoProblem,
     LinQuadProblem,
     PolicyEvalProblem,
@@ -11,11 +15,14 @@ from composolve.problems import (
     gen_lasso,
     gen_linquad,
     gen_mdp,
+    generate_problem,
     load_problem,
     problem_from_dict,
     problem_to_dict,
     save_problem,
 )
+
+SCHEMA = Path(__file__).resolve().parents[1] / "schema" / "experiment_config.schema.json"
 
 
 def small_portfolio(seed=1, n=12, dim=4):
@@ -134,8 +141,10 @@ class TestPortfolioEmbedding:
     def test_single_asset_single_period(self):
         prob = PortfolioProblem(np.array([[2.0]]))
         x = np.array([3.0])
-        assert np.allclose(prob.inner_value(0, x), [3.0, 6.0])
-        assert prob.outer_value(0, prob.full_inner_value(x)) == pytest.approx(-6.0)
+        zero = np.array([0])
+        assert np.allclose(prob.inner_value_batch(zero, x)[0], [3.0, 6.0])
+        outer = prob.outer_value_batch(zero, prob.full_inner_value(x))[0]
+        assert outer == pytest.approx(-6.0)
         assert prob.objective_f(x) == pytest.approx(-6.0)
 
     def test_two_period_matches_direct(self):
@@ -185,6 +194,17 @@ class TestPolicyEvalEmbedding:
             assert prob.objective_f(v) == pytest.approx(
                 prob.direct_objective(v), rel=1e-10, abs=1e-12
             )
+
+    def test_inner_jacobian_batch_matches_per_index_loop(self):
+        prob = small_policy_eval()
+        s = prob.n_states
+        js = np.array([3, 0, 3, 5, 1, 3])  # repeated indices included
+        want = np.zeros((len(js), 2 * s, s))
+        for k, j in enumerate(js):
+            want[k, :s, :] = np.eye(s)
+            want[k, s:, j] = prob.gamma * s * prob.transition[:, j]
+        got = prob.inner_jacobian_batch(js, np.zeros(s))
+        assert np.array_equal(got, want)
 
     def test_full_scale_instantiates(self):
         p, r = gen_mdp(400, 10, RngStream(0))
@@ -254,8 +274,11 @@ class TestLasso:
         prob = gen_lasso(15, 4, RngStream(8))
         x = RngStream(9).normal(size=4)
         for i in range(5):
-            fd = central_difference_gradient(lambda t: prob.comp_value(i, t), x)
-            assert np.allclose(fd, prob.comp_gradient(i, x), atol=1e-6)
+            idx = np.array([i])
+            fd = central_difference_gradient(
+                lambda t: float(prob.comp_value_batch(idx, t)[0]), x
+            )
+            assert np.allclose(fd, prob.comp_gradient_batch(idx, x)[0], atol=1e-6)
 
     def test_full_gradient_zero_at_least_squares(self):
         prob = gen_lasso(30, 5, RngStream(10))
@@ -295,3 +318,29 @@ class TestSerialization:
     def test_dict_fields(self):
         doc = problem_to_dict(small_policy_eval())
         assert doc["kind"] == "policy_eval" and "gamma" in doc
+
+
+class TestKindTable:
+    DIMS = {
+        "portfolio": {"n": 6, "N": 3},
+        "policy_eval": {"S": 4},
+        "linquad": {"n1": 5, "n2": 4, "M": 3, "N": 2},
+        "lasso": {"n": 7, "N": 3},
+    }
+
+    def test_schema_kinds_are_the_table_kinds(self):
+        schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+        kinds = schema["properties"]["problem"]["properties"]["kind"]["enum"]
+        assert sorted(kinds) == sorted(_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_kind_round_trips(self, kind, tmp_path):
+        prob = generate_problem({"kind": kind, "seed": 3, **self.DIMS[kind]})
+        assert type(prob) is _KINDS[kind][0] and prob.kind == kind
+        path = tmp_path / "prob.json"
+        save_problem(prob, path)
+        back = load_problem(path)
+        assert type(back) is type(prob)
+        assert problem_to_dict(back) == problem_to_dict(prob)
+        save_problem(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

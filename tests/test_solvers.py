@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,10 @@ class TestEstimators:
         x_tilde = rng.normal(size=prob.dim_x)
         x = rng.normal(size=prob.dim_x)
         snap = compute_snapshot(prob, x_tilde)
-        j = 3
-        expect = snap.G_s - prob.inner_value(j, x_tilde) + prob.inner_value(j, x)
-        got = estimate_inner_value(snap, prob, x, np.array([j]))
+        js = np.array([3])
+        expect = (snap.G_s - prob.inner_value_batch(js, x_tilde)[0]
+                  + prob.inner_value_batch(js, x)[0])
+        got = estimate_inner_value(snap, prob, x, js)
         assert np.allclose(got, expect, atol=1e-14)
 
     def test_inner_value_empirically_unbiased(self):
@@ -245,16 +248,20 @@ class TestVrscPg:
         res = vrsc_pg(prob, ZeroPenalty(), cfg, x0=x_star)
         assert np.linalg.norm(res.x_final - x_star) <= 1e-10
 
-    def test_full_batch_matches_prox_gradient_stepwise(self):
+    @pytest.mark.parametrize("batches", ["full", "single"])
+    def test_full_batch_matches_prox_gradient_stepwise(self, batches):
+        # m = 1 takes every step at its own snapshot, where the estimates
+        # equal the full-batch values exactly, whatever the batch sizes
         prob = linquad()
         reg = L1Penalty(1e-3)
         eta = 0.08
-        cfg = VrscpgConfig(eta=eta, m=1, S_epochs=25, A=prob.n2, B=prob.n2,
-                           b1=prob.n1, seed=0)
-        res = vrsc_pg(prob, reg, cfg, exact_full_batches=True)
+        a, b, b1 = (prob.n2, prob.n2, prob.n1) if batches == "full" else (1, 1, 1)
+        cfg = VrscpgConfig(eta=eta, m=1, S_epochs=25, A=a, B=b, b1=b1, seed=0)
+        res = vrsc_pg(prob, reg, cfg)
         ref = prox_full_gradient(prob, reg, eta, 25)
         for mine, theirs in zip(res.trace[1:], ref.trace[1:]):
             assert abs(mine.objective - theirs.objective) <= 1e-12
+        assert np.array_equal(res.x_final, ref.x_final)
 
     def test_converges_on_portfolio_settings(self):
         prob = PortfolioProblem(gen_gaussian_rewards(60, 10, 2.0, RngStream(16)))
@@ -314,7 +321,8 @@ class TestScpgBaseline:
         i_rng = RngStream(0)
         _ = sample_with_replacement(i_rng, prob.n2, 1)
         i = sample_with_replacement(i_rng, prob.n1, 1)
-        grad = prob.inner_jacobian(0, x).T @ prob.outer_gradient_batch(i, y1)[0]
+        jac = prob.inner_jacobian_batch(np.array([0]), x)[0]
+        grad = jac.T @ prob.outer_gradient_batch(i, y1)[0]
         run = scpg_baseline(
             prob, ZeroPenalty(), alpha0=0.05, beta0=1.0, exp_alpha=0.75,
             exp_beta=0.5, iters=1, seed=0, x0=x,
@@ -432,6 +440,24 @@ class TestBudgets:
         res = vrsc_pg(prob, ZeroPenalty(), cfg, budget_queries=snapshot + 1)
         assert res.n_iters == 1
         assert res.counter.total == snapshot + 2 * (cfg.A + cfg.B + cfg.b1)
+
+
+class TestDivergence:
+    def test_objective_overflow_ends_run_without_warnings(self):
+        # eta = 4 / L triples the top-eigenvector part of the iterate per
+        # step, so the quadratic objective overflows long before the iterate
+        prob = linquad()
+        eta = 4.0 / np.linalg.eigvalsh(prob.hessian())[-1]
+        budget = 10_000 * (prob.n1 + 2 * prob.n2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as err:
+                prox_full_gradient(prob, ZeroPenalty(), eta, 10_000,
+                                   budget_queries=budget)
+        assert np.all(np.isfinite(err.value.x_last))
+        trace = err.value.trace
+        assert len(trace) > 1 and all(np.isfinite(r.objective) for r in trace)
+        assert trace[-1].queries < budget // 10
 
 
 class TestGradientMapping:
