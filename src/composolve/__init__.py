@@ -27,6 +27,7 @@ from .regularizers import L1Penalty, ZeroPenalty, make_regularizer
 from .metrics import (
     TraceRecord,
     composite_grad_sq,
+    gradient_mapping,
     objective_H,
     objective_gap,
     queries_to_threshold,
@@ -42,7 +43,6 @@ from .solvers import (
     estimate_gradient_vt,
     estimate_inner_jacobian,
     estimate_inner_value,
-    gradient_mapping,
     prox_full_gradient,
     prox_svrg,
     scpg_baseline,

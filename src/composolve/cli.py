@@ -68,8 +68,7 @@ def compute_reference(problem, reg, ref_cfg):
         tol=ref_cfg.get("tol", 1e-12),
         trace_stride=10**9,
     )
-    residual = verify_optimum(problem, reg, res.x_final, eta)
-    return res.x_final, residual, eta
+    return res.x_final, verify_optimum(problem, reg, res.x_final, eta), eta
 
 
 # Solver name -> (step-size key, function in `solvers`, spec and seed ->
@@ -118,19 +117,15 @@ def tune_step_size(solver_spec, problem, reg, seed, budget, x_star, stride):
         tune_budget["max_queries"] = solver_spec.get(
             "tune_queries", max(budget["max_queries"] // 5, 1)
         )
-    best_eta, best_gap = None, None
+    best_eta, best_gap = None, float("inf")
     for eta in grid:
-        trial = dict(solver_spec)
-        trial[key] = eta
+        trial = {**solver_spec, key: eta}
         try:
             res = _run_one(trial, problem, reg, seed, tune_budget, x_star, stride)
         except solvers.DivergedError:
             continue
-        gap = res.trace[-1].gap if res.trace else float("inf")
-        if not np.isfinite(gap):
-            continue
-        if best_gap is None or gap < best_gap:
-            best_eta, best_gap = eta, gap
+        if res.trace[-1].gap < best_gap:
+            best_eta, best_gap = eta, res.trace[-1].gap
     if best_eta is None:
         raise RuntimeError(
             f"every step size in the grid diverged for {solver_spec['name']}"
@@ -207,7 +202,7 @@ def cmd_run(config, out_dir):
                 res = _run_one(spec, prob, reg, seed, budget, x_star, stride)
                 trace = res.trace
                 entry["diverged"] = False
-                entry["final_gap"] = trace[-1].gap if trace else None
+                entry["final_gap"] = trace[-1].gap
                 entry["total_queries"] = res.counter.total
             except solvers.DivergedError as err:
                 trace = err.trace

@@ -47,25 +47,40 @@ def objective_gap(problem, reg, x, x_star):
     return objective_H(problem, reg, x) - objective_H(problem, reg, x_star)
 
 
+def _mapping(reg, x, g, eta):
+    """Gradient mapping at x, given g = grad f(x)."""
+    return (x - reg.prox(x - eta * g, eta)) / eta
+
+
+def _composite_sq(reg, x, g):
+    """Squared composite-gradient norm at x, given g = grad f(x)."""
+    return l2_norm_sq(g + reg.min_norm_subgradient(x, g))
+
+
+def gradient_mapping(problem, reg, x, eta):
+    """Stationarity measure (x - prox(x - eta * grad f(x))) / eta: grad f(x) for
+    the zero penalty, and zero exactly at stationary points of the composite."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    return _mapping(reg, x, problem.full_gradient(x), eta)
+
+
 def composite_grad_sq(problem, reg, x):
     """Squared norm of grad f(x) plus the min-norm penalty subgradient."""
-    g = problem.full_gradient(x)
-    return l2_norm_sq(g + reg.min_norm_subgradient(x, g))
+    return _composite_sq(reg, x, problem.full_gradient(x))
 
 
 def verify_optimum(problem, reg, x_star, eta):
     """Gradient-mapping norm at a candidate optimum; small means verified."""
-    g = problem.full_gradient(x_star)
-    mapped = (x_star - reg.prox(x_star - eta * g, eta)) / eta
-    return float(np.sqrt(l2_norm_sq(mapped)))
+    return float(np.sqrt(l2_norm_sq(gradient_mapping(problem, reg, x_star, eta))))
 
 
 class TraceRecorder:
     """Collects one row per recorded iterate.
 
-    Diagnostics (objective, gradient mapping, composite subgradient) are
-    evaluated on the raw problem so instrumentation never perturbs the
-    query counts; the counter passed in is the solver's counted handle.
+    Diagnostics (objective, gradient mapping, composite subgradient) come
+    from one full pass on the raw problem, so instrumentation never perturbs
+    the query counts; the counter passed in is the solver's counted handle.
     """
 
     def __init__(self, problem, reg, eta, counter, x_star=None, stride=1):
@@ -73,12 +88,9 @@ class TraceRecorder:
         self.reg = reg
         self.eta = float(eta)
         self.counter = counter
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
         self.stride = max(int(stride), 1)
         self.rows = []
-        self._h_star = (
-            None if x_star is None else objective_H(problem, reg, self.x_star)
-        )
+        self._h_star = None if x_star is None else objective_H(problem, reg, x_star)
         self._t0 = time.perf_counter()
         self._seen = 0
 
@@ -86,9 +98,8 @@ class TraceRecorder:
         self._seen += 1
         if not force and (self._seen - 1) % self.stride != 0:
             return
-        g = self.problem.full_gradient(x)
-        mapped = (x - self.reg.prox(x - self.eta * g, self.eta)) / self.eta
-        obj = objective_H(self.problem, self.reg, x)
+        f, g = self.problem.objective_and_gradient(x)
+        obj = f + self.reg.value(x)
         gap = float("nan") if self._h_star is None else obj - self._h_star
         qv, qj, qo = self.counter.snapshot()
         self.rows.append(
@@ -101,10 +112,8 @@ class TraceRecorder:
                 q_outer_grad=qo,
                 objective=obj,
                 gap=gap,
-                grad_map_sq=l2_norm_sq(mapped),
-                composite_grad_sq=l2_norm_sq(
-                    g + self.reg.min_norm_subgradient(x, g)
-                ),
+                grad_map_sq=l2_norm_sq(_mapping(self.reg, x, g, self.eta)),
+                composite_grad_sq=_composite_sq(self.reg, x, g),
             )
         )
 

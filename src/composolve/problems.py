@@ -72,22 +72,31 @@ class CompositionProblem:
             total += self.inner_jacobian_batch(js, x).sum(axis=0)
         return total / self.n2
 
-    def mean_outer_gradient(self, y):
-        """(1/n1) sum_i grad F_i(y); costs n1 outer-gradient queries."""
-        return self.outer_gradient_batch(np.arange(self.n1), y).mean(axis=0)
+    def chain_rule(self, is_, jac, y):
+        """jac^T (1/|is_|) sum_i grad F_i(y); costs len(is_) outer-gradient queries."""
+        return jac.T @ self.outer_gradient_batch(is_, y).mean(axis=0)
+
+    def full_pass(self, x):
+        """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries."""
+        g_bar = self.full_inner_value(x)
+        jac = self.full_inner_jacobian(x)
+        return g_bar, jac, self.chain_rule(np.arange(self.n1), jac, g_bar)
 
     def full_gradient(self, x):
         """Chain-rule gradient of f at x; costs n2 + n2 + n1 queries."""
-        x = self._check_x(x)
-        g_bar = self.full_inner_value(x)
-        jac = self.full_inner_jacobian(x)
-        return jac.T @ self.mean_outer_gradient(g_bar)
+        return self.full_pass(x)[2]
+
+    def _outer_mean(self, g_bar):
+        return float(self.outer_value_batch(np.arange(self.n1), g_bar).mean())
 
     def objective_f(self, x):
         """f(x) = (1/n1) sum_i F_i(G(x)). Outer values are not oracle queries."""
-        x = self._check_x(x)
-        g_bar = self.full_inner_value(x)
-        return float(self.outer_value_batch(np.arange(self.n1), g_bar).mean())
+        return self._outer_mean(self.full_inner_value(x))
+
+    def objective_and_gradient(self, x):
+        """(f(x), grad f(x)) from one full pass: the outer values at its G(x)."""
+        g_bar, _, grad = self.full_pass(x)
+        return self._outer_mean(g_bar), grad
 
 
 class PortfolioProblem(CompositionProblem):
@@ -334,6 +343,10 @@ class FiniteSumProblem:
     def full_gradient(self, x):
         """Mean component gradient; costs n gradient queries."""
         return self.comp_gradient_batch(np.arange(self.n), x).mean(axis=0)
+
+    def objective_and_gradient(self, x):
+        """(f(x), grad f(x)); costs n gradient queries."""
+        return self.objective_f(x), self.full_gradient(x)
 
 
 class LassoProblem(FiniteSumProblem):

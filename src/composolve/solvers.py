@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from .metrics import TraceRecord, TraceRecorder
+from .metrics import TraceRecord, TraceRecorder, gradient_mapping  # noqa: F401 (re-exported)
 from .numerics import RngStream, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
 
@@ -99,10 +99,7 @@ class SolveResult:
 
 def compute_snapshot(problem, x_tilde):
     """Full pass at the epoch reference: n2 + n2 + n1 queries."""
-    g_s = problem.full_inner_value(x_tilde)
-    j_s = problem.full_inner_jacobian(x_tilde)
-    grad = j_s.T @ problem.mean_outer_gradient(g_s)
-    return Snapshot(x_tilde=x_tilde, G_s=g_s, J_s=j_s, grad_f_s=grad)
+    return Snapshot(x_tilde, *problem.full_pass(x_tilde))
 
 
 # -- snapshot-corrected estimators --------------------------------------------
@@ -133,12 +130,8 @@ def estimate_gradient_vt(snap, problem, g_hat, j_hat, i_indices):
     """
     if len(i_indices) == 0:
         raise ValueError("index set must be nonempty")
-    outer_at_hat = problem.outer_gradient_batch(i_indices, g_hat)
-    outer_at_ref = problem.outer_gradient_batch(i_indices, snap.G_s)
-    correction = j_hat.T @ outer_at_hat.mean(axis=0) - snap.J_s.T @ outer_at_ref.mean(
-        axis=0
-    )
-    return correction + snap.grad_f_s
+    at_hat = problem.chain_rule(i_indices, j_hat, g_hat)
+    return at_hat - problem.chain_rule(i_indices, snap.J_s, snap.G_s) + snap.grad_f_s
 
 
 # -- solvers ------------------------------------------------------------------
@@ -340,18 +333,6 @@ def prox_full_gradient(
 
     return _drive(problem, reg, eta, x0, x_star, trace_stride,
                   budget_queries, budget_wall_s, steps)
-
-
-def gradient_mapping(problem, reg, x, eta):
-    """Stationarity measure (x - prox(x - eta * grad f(x))) / eta.
-
-    Reduces to grad f(x) for the zero penalty and vanishes exactly at
-    stationary points of the composite objective.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    g = problem.full_gradient(x)
-    return (x - reg.prox(x - eta * g, eta)) / eta
 
 
 # -- parameter schedules and rate checks --------------------------------------

@@ -198,7 +198,7 @@ def check_stationarity_metrics():
     reg = regularizers.L1Penalty(1e-2)
     ref = solvers.prox_full_gradient(prob, reg, 0.1, 50_000, tol=1e-14)
     at_opt = metrics.composite_grad_sq(prob, reg, ref.x_final)
-    gm_opt = l2_norm_sq(solvers.gradient_mapping(prob, reg, ref.x_final, 0.1))
+    gm_opt = l2_norm_sq(metrics.gradient_mapping(prob, reg, ref.x_final, 0.1))
     rng = RngStream(19)
     away = metrics.composite_grad_sq(prob, reg, ref.x_final + rng.normal(size=prob.dim_x))
     ok = at_opt <= 1e-12 and gm_opt <= 1e-12 and away > 1e-6

@@ -222,6 +222,16 @@ class TestCmdRun:
         summary = cli.cmd_run(cfg, tmp_path / "out")
         assert summary["runs"][0]["eta"] == 0.1
 
+    def test_tune_raises_when_every_step_diverges(self, tmp_path):
+        cfg = small_config(tmp_path, solvers=[
+            {"name": "vrsc_pg", "label": "vr", "eta": "tune", "m": 20,
+             "S_epochs": 5, "A": 2, "B": 2, "b1": 2, "eta_grid": [1e8, 1e9]},
+        ])
+        with pytest.raises(RuntimeError) as err:
+            cli.cmd_run(cfg, tmp_path / "out")
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == "every step size in the grid diverged for vrsc_pg"
+
 
 class TestCmdPlot:
     def make_traces(self, tmp_path):

@@ -17,8 +17,11 @@ from composolve.numerics import RngStream
 from composolve.oracle import QueryCounter, counted
 from composolve.problems import (
     LinQuadProblem,
+    PolicyEvalProblem,
     PortfolioProblem,
+    gen_gaussian_rewards,
     gen_linquad,
+    gen_mdp,
 )
 from composolve.regularizers import L1Penalty, ZeroPenalty
 from composolve.solvers import prox_full_gradient, gradient_mapping
@@ -204,6 +207,23 @@ class TestTraceRecorder:
         before = counter.total
         rec.record(0, 0, np.ones(prob.dim_x))
         assert counter.total == before
+
+    @pytest.mark.parametrize("make", [
+        lambda: PortfolioProblem(gen_gaussian_rewards(30, 5, 2.0, RngStream(9))),
+        lambda: PolicyEvalProblem(*gen_mdp(11, 3, RngStream(10)), 0.9),
+        lambda: gen_linquad(13, 21, 6, 4, RngStream(11)),
+    ], ids=["portfolio", "policy_eval", "linquad"])
+    def test_row_costs_one_inner_pass(self, make, monkeypatch):
+        prob = make()
+        _, counter = counted(prob)
+        rec = TraceRecorder(prob, L1Penalty(1e-3), 0.1, counter,
+                            x_star=np.zeros(prob.dim_x))
+        seen = []
+        inner_value_batch = prob.inner_value_batch
+        monkeypatch.setattr(prob, "inner_value_batch",
+                            lambda js, x: seen.append(len(js)) or inner_value_batch(js, x))
+        rec.record(0, 0, RngStream(12).normal(size=prob.dim_x))
+        assert sum(seen) == prob.n2
 
     def test_wall_and_queries_nondecreasing(self):
         prob = linquad()

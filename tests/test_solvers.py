@@ -13,6 +13,8 @@ from composolve.problems import (
     PolicyEvalProblem,
     PortfolioProblem,
 )
+from composolve.metrics import TraceRecorder, composite_grad_sq, objective_H
+from composolve.oracle import counted
 from composolve.regularizers import L1Penalty, ZeroPenalty
 from composolve import solvers
 from composolve.solvers import (
@@ -458,6 +460,48 @@ class TestDivergence:
         trace = err.value.trace
         assert len(trace) > 1 and all(np.isfinite(r.objective) for r in trace)
         assert trace[-1].queries < budget // 10
+
+
+# every problem kind, plus the generic chunked Jacobian loop (n2 = 70 > 64)
+ONE_PASS_PROBLEMS = {
+    "portfolio": lambda: PortfolioProblem(gen_gaussian_rewards(12, 4, 2.0, RngStream(30))),
+    "policy_eval": policy_eval,
+    "linquad": lambda: linquad(n1=7, n2=9),
+    "lasso": lambda: gen_lasso(20, 5, RngStream(31)),
+    "quartic": lambda: QuarticOuterProblem(n2=70),
+}
+
+
+class TestOnePass:
+    """Trace rows, the snapshot and the public measures agree bitwise."""
+
+    def point(self, prob):
+        x = RngStream(32).normal(size=prob.dim_x)
+        x[1] = 0.0  # the L1 subgradient clamps here
+        return x
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PASS_PROBLEMS))
+    def test_row_equals_public_measures(self, kind):
+        prob = ONE_PASS_PROBLEMS[kind]()
+        reg, eta = L1Penalty(0.05), 0.3
+        x = self.point(prob)
+        _, counter = counted(prob)
+        rec = TraceRecorder(prob, reg, eta, counter)
+        rec.record(0, 0, x)
+        row = rec.rows[0]
+        assert row.objective == objective_H(prob, reg, x)
+        assert row.grad_map_sq == l2_norm_sq(gradient_mapping(prob, reg, x, eta))
+        assert row.composite_grad_sq == composite_grad_sq(prob, reg, x)
+
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k in ONE_PASS_PROBLEMS if k != "lasso"))
+    def test_snapshot_gradient_is_full_gradient(self, kind):
+        prob = ONE_PASS_PROBLEMS[kind]()
+        x = self.point(prob)
+        for handle in (prob, counted(prob)[0]):
+            snap = compute_snapshot(handle, x)
+            assert np.array_equal(snap.grad_f_s, prob.full_gradient(x))
+            assert np.array_equal(snap.grad_f_s, handle.full_gradient(x))
 
 
 class TestGradientMapping:
