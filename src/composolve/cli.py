@@ -110,6 +110,11 @@ def _run_one(solver_spec, problem, reg, seed, budget, x_star, stride):
 
 def tune_step_size(solver_spec, problem, reg, seed, budget, x_star, stride):
     """Pick the grid step size with the best final objective gap."""
+    if x_star is None:
+        raise ValueError(
+            f"tuning the step size of {solver_spec['name']} needs a reference "
+            "optimum (x_star) to measure the objective gap"
+        )
     key = _solver(solver_spec["name"])[0]
     grid = solver_spec.get("eta_grid", list(DEFAULT_ETA_GRID))
     tune_budget = dict(budget)

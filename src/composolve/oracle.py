@@ -54,9 +54,11 @@ class QueryCounter:
 class CountedCompositionProblem(CompositionProblem):
     """Delegating wrapper that counts every per-index evaluator call.
 
-    Numerical outputs are exactly those of the wrapped problem. The mean
-    inner Jacobian comes from the problem's own method at n2 queries; the
-    other full-batch operations inherit the generic per-index loops.
+    Numerical outputs are exactly those of the wrapped problem. A
+    transpose-Jacobian product J_j^T u costs one inner-Jacobian query per
+    index, and the mean inner Jacobian comes from the problem's own method
+    at n2 queries; the other full-batch operations inherit the generic
+    per-index loops.
     """
 
     def __init__(self, problem):
@@ -74,6 +76,10 @@ class CountedCompositionProblem(CompositionProblem):
     def inner_jacobian_batch(self, js, x):
         self.counter.add(inner_jacobian=len(js))
         return self._problem.inner_jacobian_batch(js, x)
+
+    def inner_vjp_batch(self, js, x, u):
+        self.counter.add(inner_jacobian=len(js))
+        return self._problem.inner_vjp_batch(js, x, u)
 
     def full_inner_jacobian(self, x):
         self.counter.add(inner_jacobian=self.n2)

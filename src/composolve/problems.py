@@ -6,6 +6,12 @@ composite objective f(x) = (1/n1) sum_i F_i((1/n2) sum_j G_j(x)).
 Evaluators come in batched form (an array of indices at one point) so
 solvers stay vectorized; the per-index cost accounting in the oracle
 module counts one query per index evaluated.
+
+A subclass implements four evaluators: inner values, inner Jacobians,
+outer values and outer gradients. The transpose-Jacobian product
+`inner_vjp_batch(js, x, u)`, the stacked J_j(x)^T u that the solvers use
+in place of dense Jacobians, has a generic default built from
+`inner_jacobian_batch`; the shipped classes override it with closed forms.
 """
 
 import json
@@ -40,6 +46,14 @@ class CompositionProblem:
     def inner_jacobian_batch(self, js, x):
         """Stacked Jacobians of G_j at x, shape (len(js), M, N)."""
         raise NotImplementedError
+
+    def inner_vjp_batch(self, js, x, u):
+        """Stacked J_j(x)^T u for each j in js, shape (len(js), N).
+
+        Generic default from the dense Jacobians; one inner-Jacobian query
+        per index, like `inner_jacobian_batch`.
+        """
+        return u @ self.inner_jacobian_batch(js, x)
 
     def outer_value_batch(self, is_, y):
         """F_i(y) for each i in is_, shape (len(is_),)."""
@@ -135,6 +149,9 @@ class PortfolioProblem(CompositionProblem):
         out[:, self.dim_x, :] = self.rewards[js]
         return out
 
+    def inner_vjp_batch(self, js, x, u):
+        return u[: self.dim_x] + u[self.dim_x] * self.rewards[js]
+
     def outer_value_batch(self, is_, y):
         w = y[: self.dim_x]
         z = y[self.dim_x]
@@ -212,6 +229,13 @@ class PolicyEvalProblem(CompositionProblem):
         out[np.arange(len(js)), s:, js] = self.gamma * s * self.transition[:, js].T
         return out
 
+    def inner_vjp_batch(self, js, x, u):
+        # J_j^T u = u[:S] plus, at entry j, gamma S P[:, j] . u[S:]
+        s = self.n_states
+        out = np.tile(u[:s], (len(js), 1))
+        out[np.arange(len(js)), js] += self.gamma * s * (u[s:] @ self.transition[:, js])
+        return out
+
     def outer_value_batch(self, is_, y):
         s = self.n_states
         r = y[is_] - y[s + is_]
@@ -284,6 +308,10 @@ class LinQuadProblem(CompositionProblem):
 
     def inner_jacobian_batch(self, js, x):
         return self.q_mats[js]
+
+    def inner_vjp_batch(self, js, x, u):
+        # take gathers whole (M, N) blocks faster than fancy indexing does
+        return u @ self.q_mats.take(js, axis=0)
 
     def outer_value_batch(self, is_, y):
         d = y - self.b_vecs[is_]

@@ -115,7 +115,11 @@ def estimate_inner_value(snap, problem, x, a_indices):
 
 
 def estimate_inner_jacobian(snap, problem, x, b_indices):
-    """Inner-Jacobian estimate with the same snapshot correction; 2B queries."""
+    """Inner-Jacobian estimate with the same snapshot correction; 2B queries.
+
+    The dense reference form: the solvers use only its product with an outer
+    gradient, which `estimate_gradient_vt` forms without building it.
+    """
     if len(b_indices) == 0:
         raise ValueError("index set must be nonempty")
     at_ref = problem.inner_jacobian_batch(b_indices, snap.x_tilde)
@@ -123,14 +127,20 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
     return snap.J_s - (at_ref - at_x).mean(axis=0)
 
 
-def estimate_gradient_vt(snap, problem, g_hat, j_hat, i_indices):
-    """Composite-gradient estimate built from the two inner estimates; 2 b1 queries.
+def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
+    """Composite-gradient estimate from transpose-Jacobian products; 2B + 2 b1 queries.
 
-    mean_i [ j_hat^T grad F_i(g_hat) - J_s^T grad F_i(G^s) ] + grad f(x_tilde).
+    With u = mean_i grad F_i(g_hat) over I and the Jacobian estimate j_hat of
+    `estimate_inner_jacobian` over B, this is
+    j_hat^T u - mean_i J_s^T grad F_i(G^s) + grad f(x_tilde), where
+    j_hat^T u = J_s^T u - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) needs no Jacobian.
     """
-    if len(i_indices) == 0:
+    if len(b_indices) == 0 or len(i_indices) == 0:
         raise ValueError("index set must be nonempty")
-    at_hat = problem.chain_rule(i_indices, j_hat, g_hat)
+    u = problem.outer_gradient_batch(i_indices, g_hat).mean(axis=0)
+    at_ref = problem.inner_vjp_batch(b_indices, snap.x_tilde, u)
+    at_x = problem.inner_vjp_batch(b_indices, x, u)
+    at_hat = snap.J_s.T @ u - (at_ref - at_x).mean(axis=0)
     return at_hat - problem.chain_rule(i_indices, snap.J_s, snap.G_s) + snap.grad_f_s
 
 
@@ -181,7 +191,10 @@ def vrsc_pg(
 
     Per epoch: snapshot full pass, then m inner iterations each sampling
     the index sets A_t, B_t, I_t independently with replacement (in that
-    fixed order), forming the three estimates and taking a proximal step.
+    fixed order), estimating the inner value over A_t and the composite
+    gradient over B_t and I_t, and taking a proximal step. The Jacobian
+    estimate enters only through its product with the outer gradient, so no
+    Jacobian is built.
     With m = 1 every step is taken at its own snapshot, where the estimates
     equal the full-batch values exactly, so the method is deterministic
     proximal gradient descent whatever the batch sizes.
@@ -200,8 +213,7 @@ def vrsc_pg(
                 b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
                 i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
                 g_hat = estimate_inner_value(snap, cp, x, a_idx)
-                j_hat = estimate_inner_jacobian(snap, cp, x, b_idx)
-                v_t = estimate_gradient_vt(snap, cp, g_hat, j_hat, i_idx)
+                v_t = estimate_gradient_vt(snap, cp, x, g_hat, b_idx, i_idx)
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
                 yield s, t + 1, x
 
@@ -247,10 +259,9 @@ def scpg_baseline(
             j = sample_with_replacement(rng, problem.n2, 1)
             g_j = cp.inner_value_batch(j, x)[0]
             y = (1.0 - beta_t) * y + beta_t * g_j
-            jac_j = cp.inner_jacobian_batch(j, x)[0]
             i = sample_with_replacement(rng, problem.n1, 1)
             grad_i = cp.outer_gradient_batch(i, y)[0]
-            x = reg.prox(x - alpha_t * (jac_j.T @ grad_i), alpha_t)
+            x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
             yield 0, t + 1, x
 
     return _drive(problem, reg, alpha0, x0, x_star, trace_stride,

@@ -138,13 +138,20 @@ def check_counting_transparency():
     rng = RngStream(17)
     same = True
     # n2 = 70 > 64: a chunked generic Jacobian loop would sum in another order
+    js = np.array([1, 0, 1, 2])
     for prob in (_toy_portfolio(), _toy_policy_eval(), _toy_linquad(n2=70)):
-        wrapped, _ = oracle.counted(prob)
+        wrapped, counter = oracle.counted(prob)
         x = rng.normal(size=prob.dim_x)
         for name in ("full_gradient", "full_inner_jacobian"):
             same &= np.array_equal(getattr(prob, name)(x), getattr(wrapped, name)(x))
+        u = rng.normal(size=prob.dim_y)
+        before = counter.snapshot()
+        vjp = wrapped.inner_vjp_batch(js, x, u)
+        charged = tuple(b - a for a, b in zip(before, counter.snapshot()))
+        same &= np.array_equal(vjp, prob.inner_vjp_batch(js, x, u))
+        same &= charged == (0, len(js), 0)
     return "counting wrapper changes no numbers", same, (
-        "bitwise gradient and Jacobian, every problem class"
+        "bitwise gradient, Jacobian and J^T u, every problem class"
     )
 
 
@@ -157,7 +164,7 @@ def check_snapshot_cancellation():
     g_hat = solvers.estimate_inner_value(snap, prob, x, a_idx)
     j_hat = solvers.estimate_inner_jacobian(snap, prob, x, a_idx)
     v = solvers.estimate_gradient_vt(
-        snap, prob, g_hat, j_hat, sample_with_replacement(rng, prob.n1, 4)
+        snap, prob, x, g_hat, a_idx, sample_with_replacement(rng, prob.n1, 4)
     )
     ok = (
         np.array_equal(g_hat, snap.G_s)

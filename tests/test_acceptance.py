@@ -81,7 +81,7 @@ def test_01_snapshot_exactness():
         i = sample_with_replacement(rng, prob.n1, 5)
         g_hat = estimate_inner_value(snap, prob, x, a)
         j_hat = estimate_inner_jacobian(snap, prob, x, b)
-        v0 = estimate_gradient_vt(snap, prob, snap.G_s, snap.J_s, i)
+        v0 = estimate_gradient_vt(snap, prob, x, snap.G_s, b, i)
         worst = max(
             worst,
             float(np.max(np.abs(g_hat - snap.G_s))),

@@ -232,6 +232,14 @@ class TestCmdRun:
         assert type(err.value) is RuntimeError
         assert str(err.value) == "every step size in the grid diverged for vrsc_pg"
 
+    def test_tune_without_reference_optimum_rejected(self):
+        # every gap is NaN without x_star, so no trial could ever be chosen
+        prob = gen_linquad(8, 6, 5, 4, RngStream(3))
+        spec = {"name": "prox_full_gradient", "eta": "tune", "iters": 5,
+                "eta_grid": [0.1, 0.01]}
+        with pytest.raises(ValueError, match="needs a reference optimum"):
+            cli.tune_step_size(spec, prob, L1Penalty(1e-3), 0, {}, None, 5)
+
 
 class TestCmdPlot:
     def make_traces(self, tmp_path):

@@ -54,11 +54,9 @@ class TestCounter:
         g_hat = solvers.estimate_inner_value(
             snap, cp, x, rng.integers(prob.n2, size=a)
         )
-        j_hat = solvers.estimate_inner_jacobian(
-            snap, cp, x, rng.integers(prob.n2, size=b)
-        )
         solvers.estimate_gradient_vt(
-            snap, cp, g_hat, j_hat, rng.integers(prob.n1, size=b1)
+            snap, cp, x, g_hat, rng.integers(prob.n2, size=b),
+            rng.integers(prob.n1, size=b1),
         )
         assert counter.snapshot() == (2 * a, 2 * b, 2 * b1)
 
@@ -82,6 +80,14 @@ class TestCounter:
             assert cp.objective_f(x) == problem.objective_f(x)
             n1, n2 = problem.n1, problem.n2
             assert counter.snapshot() == (2 * n2, 2 * n2, n1)
+            js = np.array([1, 0, 1, 2])  # repeated indices included
+            u = rng.normal(size=problem.dim_y)
+            before = counter.snapshot()
+            assert np.array_equal(
+                cp.inner_vjp_batch(js, x, u), problem.inner_vjp_batch(js, x, u)
+            )
+            after = counter.snapshot()
+            assert tuple(b - a for a, b in zip(before, after)) == (0, len(js), 0)
 
 
 class TestCostFormulas:

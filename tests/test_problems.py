@@ -21,6 +21,7 @@ from composolve.problems import (
     problem_to_dict,
     save_problem,
 )
+from test_solvers import QuarticOuterProblem, TanhInnerProblem
 
 SCHEMA = Path(__file__).resolve().parents[1] / "schema" / "experiment_config.schema.json"
 
@@ -135,6 +136,32 @@ class TestFullBatchOperations:
         prob = small_portfolio()
         with pytest.raises(ValueError):
             prob.full_gradient(np.zeros(prob.dim_x + 1))
+
+
+# every closed-form transpose-Jacobian product, a nonlinear inner map's, and
+# the generic default
+VJP_PROBLEMS = {
+    "portfolio": small_portfolio,
+    "policy_eval": small_policy_eval,
+    "linquad": small_linquad,
+    "tanh_inner": TanhInnerProblem,
+    "generic_default": QuarticOuterProblem,
+}
+
+
+class TestInnerVjp:
+    @pytest.mark.parametrize("kind", sorted(VJP_PROBLEMS))
+    def test_matches_dense_jacobian_product(self, kind):
+        prob = VJP_PROBLEMS[kind]()
+        rng = RngStream(16)
+        js = np.array([3, 0, 3, 5, 1, 3])  # repeated indices included
+        for _ in range(5):
+            x = rng.normal(size=prob.dim_x)
+            u = rng.normal(size=prob.dim_y)
+            got = prob.inner_vjp_batch(js, x, u)
+            want = u @ prob.inner_jacobian_batch(js, x)
+            assert got.shape == (len(js), prob.dim_x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPortfolioEmbedding:

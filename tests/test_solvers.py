@@ -14,7 +14,7 @@ from composolve.problems import (
     PortfolioProblem,
 )
 from composolve.metrics import TraceRecorder, composite_grad_sq, objective_H
-from composolve.oracle import counted
+from composolve.oracle import counted, scpg_cost, vrsc_pg_cost
 from composolve.regularizers import L1Penalty, ZeroPenalty
 from composolve import solvers
 from composolve.solvers import (
@@ -76,6 +76,42 @@ class QuarticOuterProblem(CompositionProblem):
     def outer_gradient_batch(self, is_, y):
         d = y - self.b_vecs[is_]
         return (d * d).sum(axis=1)[:, None] * d
+
+
+class TanhInnerProblem(CompositionProblem):
+    """Nonlinear inner maps G_j(x) = tanh(Q_j x) + c_j, quadratic outer losses.
+
+    The inner Jacobians depend on x, so the snapshot correction
+    J_j(x_tilde) - J_j(x) of the Jacobian estimate is nonzero away from the
+    snapshot; every shipped class has affine inner maps, where it vanishes.
+    """
+
+    def __init__(self, seed=0, n1=6, n2=7, dim_y=5, dim_x=4, spread=1.0):
+        base = gen_linquad(n1, n2, dim_y, dim_x, RngStream(seed), spread=spread)
+        self.q_mats = base.q_mats
+        self.c_vecs = base.c_vecs
+        self.b_vecs = base.b_vecs
+        self.n1, self.n2 = n1, n2
+        self.dim_x, self.dim_y = dim_x, dim_y
+
+    def _sech_sq(self, js, x):
+        return 1.0 - np.tanh(self.q_mats[js] @ x) ** 2
+
+    def inner_value_batch(self, js, x):
+        return np.tanh(self.q_mats[js] @ x) + self.c_vecs[js]
+
+    def inner_jacobian_batch(self, js, x):
+        return self._sech_sq(js, x)[:, :, None] * self.q_mats[js]
+
+    def inner_vjp_batch(self, js, x, u):
+        return ((u * self._sech_sq(js, x))[:, None, :] @ self.q_mats[js])[:, 0]
+
+    def outer_value_batch(self, is_, y):
+        d = y - self.b_vecs[is_]
+        return 0.5 * (d * d).sum(axis=1)
+
+    def outer_gradient_batch(self, is_, y):
+        return y - self.b_vecs[is_]
 
 
 class TestEstimators:
@@ -161,7 +197,7 @@ class TestEstimators:
         snap = compute_snapshot(prob, x)
         for trial in range(5):
             idx = sample_with_replacement(RngStream(trial), prob.n1, 4)
-            v = estimate_gradient_vt(snap, prob, snap.G_s, snap.J_s, idx)
+            v = estimate_gradient_vt(snap, prob, x, snap.G_s, idx, idx)
             assert np.max(np.abs(v - snap.grad_f_s)) <= 1e-12
 
     def test_gradient_estimate_full_batch_exact(self):
@@ -171,8 +207,9 @@ class TestEstimators:
         x = rng.normal(size=prob.dim_x)
         snap = compute_snapshot(prob, x_tilde)
         g = prob.full_inner_value(x)
-        j = prob.full_inner_jacobian(x)
-        v = estimate_gradient_vt(snap, prob, g, j, np.arange(prob.n1))
+        v = estimate_gradient_vt(
+            snap, prob, x, g, np.arange(prob.n2), np.arange(prob.n1)
+        )
         assert np.allclose(v, prob.full_gradient(x), atol=1e-12)
 
     def test_gradient_estimate_biased_with_nonlinear_outer(self):
@@ -191,11 +228,9 @@ class TestEstimators:
             g_hat = estimate_inner_value(
                 snap, prob, x, sample_with_replacement(rng, prob.n2, 1)
             )
-            j_hat = estimate_inner_jacobian(
-                snap, prob, x, sample_with_replacement(rng, prob.n2, 1)
-            )
+            b_idx = sample_with_replacement(rng, prob.n2, 1)
             v = estimate_gradient_vt(
-                snap, prob, g_hat, j_hat, sample_with_replacement(rng, prob.n1, 1)
+                snap, prob, x, g_hat, b_idx, sample_with_replacement(rng, prob.n1, 1)
             )
             acc += v
             acc_sq += v * v
@@ -214,7 +249,9 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_inner_jacobian(snap, prob, x, empty)
         with pytest.raises(ValueError):
-            estimate_gradient_vt(snap, prob, snap.G_s, snap.J_s, empty)
+            estimate_gradient_vt(snap, prob, x, snap.G_s, np.array([0]), empty)
+        with pytest.raises(ValueError):
+            estimate_gradient_vt(snap, prob, x, snap.G_s, empty, np.array([0]))
 
     def test_variance_shrinks_near_snapshot(self):
         prob = linquad(spread=1.0)
@@ -231,15 +268,79 @@ class TestEstimators:
                 g_hat = estimate_inner_value(
                     snap, prob, x, sample_with_replacement(rng, prob.n2, 2)
                 )
-                j_hat = estimate_inner_jacobian(
-                    snap, prob, x, sample_with_replacement(rng, prob.n2, 2)
-                )
+                b_idx = sample_with_replacement(rng, prob.n2, 2)
                 draws[k] = estimate_gradient_vt(
-                    snap, prob, g_hat, j_hat,
+                    snap, prob, x, g_hat, b_idx,
                     sample_with_replacement(rng, prob.n1, 2),
                 )
             variances.append(float(draws.var(axis=0).sum()))
         assert variances[0] < variances[1] < variances[2]
+
+
+class TestNonlinearInnerCorrection:
+    """The transpose-Jacobian estimate against the dense Jacobian estimate."""
+
+    def test_vjp_form_equals_dense_form(self):
+        prob = TanhInnerProblem()
+        rng = RngStream(41)
+        x_tilde = rng.normal(size=prob.dim_x)
+        x = x_tilde + rng.normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x_tilde)
+        for _ in range(20):
+            a_idx = sample_with_replacement(rng, prob.n2, 3)
+            b_idx = sample_with_replacement(rng, prob.n2, 3)
+            i_idx = sample_with_replacement(rng, prob.n1, 3)
+            g_hat = estimate_inner_value(snap, prob, x, a_idx)
+            j_hat = estimate_inner_jacobian(snap, prob, x, b_idx)
+            # the Jacobian correction is really exercised
+            assert np.max(np.abs(j_hat - snap.J_s)) > 1e-3
+            dense = (prob.chain_rule(i_idx, j_hat, g_hat)
+                     - prob.chain_rule(i_idx, snap.J_s, snap.G_s) + snap.grad_f_s)
+            v = estimate_gradient_vt(snap, prob, x, g_hat, b_idx, i_idx)
+            assert np.max(np.abs(v - dense)) <= 1e-12
+
+    def test_correction_vanishes_at_snapshot(self):
+        prob = TanhInnerProblem()
+        rng = RngStream(42)
+        x_tilde = rng.normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x_tilde)
+        for _ in range(5):
+            g_hat = snap.G_s + rng.normal(size=prob.dim_y)
+            b_idx = sample_with_replacement(rng, prob.n2, 4)
+            i_idx = sample_with_replacement(rng, prob.n1, 4)
+            u = prob.outer_gradient_batch(i_idx, g_hat).mean(axis=0)
+            uncorrected = (snap.J_s.T @ u - prob.chain_rule(i_idx, snap.J_s, snap.G_s)
+                           + snap.grad_f_s)
+            v = estimate_gradient_vt(snap, prob, x_tilde, g_hat, b_idx, i_idx)
+            assert np.array_equal(v, uncorrected)
+
+
+class TestNoDenseJacobian:
+    """vrsc_pg and scpg use only J^T u: no per-index Jacobian is built."""
+
+    @pytest.mark.parametrize("kind", ["policy_eval", "portfolio"])
+    def test_runs_without_inner_jacobian_batch(self, kind, monkeypatch):
+        prob = (policy_eval() if kind == "policy_eval" else
+                PortfolioProblem(gen_gaussian_rewards(20, 5, 2.0, RngStream(43))))
+
+        def refuse(self, js, x):
+            raise AssertionError("a dense inner Jacobian was built")
+
+        monkeypatch.setattr(type(prob), "inner_jacobian_batch", refuse)
+        reg = L1Penalty(1e-3)
+        m, a, b, b1, epochs = 7, 2, 3, 4, 3
+        cfg = VrscpgConfig(eta=0.05, m=m, S_epochs=epochs, A=a, B=b, b1=b1, seed=0)
+        res = vrsc_pg(prob, reg, cfg, trace_stride=5)
+        n1, n2 = prob.n1, prob.n2
+        assert res.counter.snapshot() == (
+            epochs * (n2 + 2 * m * a), epochs * (n2 + 2 * m * b),
+            epochs * (n1 + 2 * m * b1),
+        )
+        assert res.counter.total == vrsc_pg_cost(n1, n2, m, a, b, b1, epochs)
+        res = scpg_baseline(prob, reg, alpha0=0.05, beta0=1.0, exp_alpha=0.75,
+                            exp_beta=0.5, iters=25, seed=1, trace_stride=5)
+        assert res.counter.snapshot() == (25, 25, 25)
+        assert res.counter.total == scpg_cost(25)
 
 
 class TestVrscPg:
