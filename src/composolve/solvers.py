@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from .metrics import TraceRecord, TraceRecorder, gradient_mapping  # noqa: F401 (re-exported)
+from .metrics import TraceRecord, TraceRecorder
 from .numerics import RngStream, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
 
@@ -153,7 +153,8 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
 
     steps yields (epoch, inner_iter, x) after each update, and returns when
     room(cost) before a full pass of cost queries, or room() before a step,
-    is false.
+    is false. Every trace_stride-th iterate is recorded, and so is the last
+    one, so that the final row describes x_final.
     """
     cp, counter = counted(problem)
     x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -165,15 +166,20 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
             return False
         return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
 
+    def record(epoch, inner_iter, x, force=False):
+        rec.record(epoch, inner_iter, x, force)
+        if not math.isfinite(rec.rows[-1].objective):
+            raise DivergedError("objective is no longer finite", rec.rows[:-1], x)
+
     iters = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch, inner_iter, x in steps(cp, x, room):
             if not np.all(np.isfinite(x)):
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
             iters += 1
-            rec.record(epoch, inner_iter, x)
-            if not math.isfinite(rec.rows[-1].objective):
-                raise DivergedError("objective is no longer finite", rec.rows[:-1], x)
+            record(epoch, inner_iter, x)
+        if iters % rec.stride:  # the last step fell between strides
+            record(epoch, inner_iter, x, force=True)
     return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 

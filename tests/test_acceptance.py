@@ -5,25 +5,12 @@ desk-scale: small enough for CI, large enough that the qualitative claims
 (variance reduction, query-ordering, rate trends) are non-trivial.
 """
 
-import time
-
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
-from composolve import cli
+from composolve import cli, verification
 from composolve.metrics import queries_to_threshold
-from composolve.numerics import (
-    RngStream,
-    central_difference_gradient,
-    sample_with_replacement,
-)
-from composolve.oracle import (
-    prox_full_gradient_cost,
-    prox_svrg_cost,
-    scpg_cost,
-    vrsc_pg_cost,
-)
+from composolve.numerics import RngStream, sample_with_replacement
 from composolve.problems import (
     PolicyEvalProblem,
     PortfolioProblem,
@@ -37,7 +24,6 @@ from composolve.solvers import (
     ProblemConstants,
     VrscpgConfig,
     compute_snapshot,
-    estimate_gradient_vt,
     estimate_inner_jacobian,
     estimate_inner_value,
     prox_full_gradient,
@@ -48,6 +34,7 @@ from composolve.solvers import (
     theorem1_rho,
     vrsc_pg,
 )
+from test_cli import replays_identically
 
 
 def report(num, name, ok, detail=""):
@@ -59,37 +46,9 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
-def sample_problems():
-    return [
-        PortfolioProblem(gen_gaussian_rewards(15, 6, 2.0, RngStream(0))),
-        PolicyEvalProblem(*gen_mdp(8, 4, RngStream(1)), gamma=0.9),
-        gen_linquad(10, 8, 6, 5, RngStream(2)),
-    ]
-
-
 def test_01_snapshot_exactness():
     """At the epoch start, every estimator reproduces its full-batch value."""
-    worst = 0.0
-    rng = RngStream(3)
-    probs = sample_problems()
-    for trial in range(100):
-        prob = probs[trial % len(probs)]
-        x = rng.normal(size=prob.dim_x)
-        snap = compute_snapshot(prob, x)
-        a = sample_with_replacement(rng, prob.n2, 4)
-        b = sample_with_replacement(rng, prob.n2, 3)
-        i = sample_with_replacement(rng, prob.n1, 5)
-        g_hat = estimate_inner_value(snap, prob, x, a)
-        j_hat = estimate_inner_jacobian(snap, prob, x, b)
-        v0 = estimate_gradient_vt(snap, prob, x, snap.G_s, b, i)
-        worst = max(
-            worst,
-            float(np.max(np.abs(g_hat - snap.G_s))),
-            float(np.max(np.abs(j_hat - snap.J_s))),
-            float(np.max(np.abs(v0 - snap.grad_f_s))),
-        )
-    report(1, "estimator snapshot exactness", worst <= 1e-12,
-           f"max deviation {worst:.1e}")
+    report(1, *verification.check_snapshot_cancellation())
 
 
 def test_02_estimator_unbiasedness():
@@ -139,37 +98,16 @@ def test_02_estimator_unbiasedness():
 
 
 def test_03_full_batch_degeneration():
-    prob = gen_linquad(12, 9, 6, 5, RngStream(8))
-    reg = L1Penalty(1e-3)
-    eta = 0.05
-    cfg = VrscpgConfig(eta=eta, m=1, S_epochs=50, A=prob.n2, B=prob.n2,
-                       b1=prob.n1, seed=0)
-    res = vrsc_pg(prob, reg, cfg)
-    ref = prox_full_gradient(prob, reg, eta, 50)
-    worst = max(
-        abs(a.objective - b.objective)
-        for a, b in zip(res.trace[1:], ref.trace[1:])
-    )
-    report(3, "full-batch degeneration to proximal gradient", worst <= 1e-12,
-           f"max objective deviation {worst:.1e}")
+    report(3, *verification.check_full_batch_degeneration())
 
 
 def test_04_gradient_matches_finite_differences():
-    probs = sample_problems() + [gen_lasso(12, 6, RngStream(9))]
-    rng = RngStream(10)
-    worst = 0.0
-    for prob in probs:
-        for _ in range(20):
-            x = rng.normal(size=prob.dim_x)
-            g = prob.full_gradient(x)
-            fd = central_difference_gradient(prob.objective_f, x)
-            rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
-            worst = max(worst, float(rel))
-    report(4, "full gradient vs central differences", worst <= 1e-5,
-           f"worst relative error {worst:.1e}")
+    report(4, *verification.check_finite_differences())
 
 
 def test_05_prox_correctness():
+    """Soft thresholding against a 1-D minimization oracle; the check adds
+    nonexpansiveness and optimality against perturbed candidates."""
     rng = RngStream(11)
     worst = 0.0
     for _ in range(1000):
@@ -182,16 +120,9 @@ def test_05_prox_correctness():
             bounds=(-20, 20), method="bounded", options={"xatol": 1e-10},
         )
         worst = max(worst, abs(got - res.x))
-    nonexpansive = True
-    for _ in range(1000):
-        reg = L1Penalty(0.01 + rng.uniform())
-        eta = 0.01 + rng.uniform()
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        lhs = np.linalg.norm(reg.prox(a, eta) - reg.prox(b, eta))
-        nonexpansive &= bool(lhs <= np.linalg.norm(a - b) + 1e-12)
-    report(5, "soft-threshold vs 1-D minimization oracle",
-           worst <= 1e-6 and nonexpansive,
-           f"worst prox error {worst:.1e}, nonexpansive={nonexpansive}")
+    _, ok, detail = verification.check_prox_properties()
+    report(5, "soft-threshold vs 1-D minimization oracle", worst <= 1e-6 and ok,
+           f"worst prox error {worst:.1e}; {detail}")
 
 
 def test_06_closed_form_recovery():
@@ -222,36 +153,7 @@ def test_06_closed_form_recovery():
 
 
 def test_07_query_accounting_exactness():
-    prob = gen_linquad(9, 7, 5, 4, RngStream(14))
-    fsp = gen_lasso(11, 4, RngStream(15))
-    reg = L1Penalty(1e-3)
-    mismatches = 0
-    for trial in range(20):
-        rng = RngStream(100 + trial)
-        m, a, b, b1, s = (int(rng.integers(6)) + 1 for _ in range(5))
-        iters = int(rng.integers(40)) + 1
-
-        cfg = VrscpgConfig(eta=0.05, m=m, S_epochs=s, A=a, B=b, b1=b1,
-                           seed=trial)
-        res = vrsc_pg(prob, reg, cfg)
-        mismatches += res.counter.total != vrsc_pg_cost(
-            prob.n1, prob.n2, m, a, b, b1, s
-        )
-
-        res = scpg_baseline(prob, reg, alpha0=0.02, beta0=1.0,
-                            exp_alpha=0.75, exp_beta=0.5, iters=iters,
-                            seed=trial)
-        mismatches += res.counter.total != scpg_cost(iters)
-
-        res = prox_svrg(fsp, reg, eta=0.4, m=m, S_epochs=s, seed=trial)
-        mismatches += res.counter.total != prox_svrg_cost(fsp.n, m, s)
-
-        res = prox_full_gradient(prob, reg, eta=0.05, iters=iters)
-        mismatches += res.counter.total != prox_full_gradient_cost(
-            prob.n1, prob.n2, res.n_iters
-        )
-    report(7, "live query counts equal closed-form totals", mismatches == 0,
-           f"{mismatches} mismatches over 80 runs")
+    report(7, *verification.check_query_exactness())
 
 
 def test_08_linear_convergence_strongly_convex():
@@ -389,18 +291,5 @@ def test_12_run_determinism(tmp_path):
             {"name": "scpg", "label": "base", "alpha0": 0.1},
         ],
     }
-    s1 = cli.cmd_run(dict(config), tmp_path / "a")
-    s2 = cli.cmd_run(dict(config), tmp_path / "b")
-    same = s1["x_star"] == s2["x_star"]
-    for entry in s1["runs"]:
-        ra = cli.read_trace_csv(tmp_path / "a" / entry["trace"])
-        rb = cli.read_trace_csv(tmp_path / "b" / entry["trace"])
-        same &= len(ra) == len(rb)
-        for a, b in zip(ra, rb):
-            for col in a:
-                if col == "wall_ms":
-                    continue
-                same &= a[col] == b[col] or (
-                    np.isnan(a[col]) and np.isnan(b[col])
-                )
-    report(12, "repeated runs byte-identical modulo wall time", bool(same))
+    report(12, "repeated runs byte-identical modulo wall time",
+           replays_identically(config, tmp_path / "a", tmp_path / "b"))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from composolve import cli, verification
+from composolve import cli, solvers, verification
 from composolve.metrics import CSV_COLUMNS
 from composolve.numerics import RngStream
 from composolve.problems import (
@@ -34,6 +34,16 @@ def small_config(tmp_path, solvers=None, budget=3000):
              "S_epochs": 50, "A": 3, "B": 3, "b1": 3},
         ],
     }
+
+
+def replays_identically(config, out_a, out_b):
+    """cmd_run twice: the same x_star, and every trace CSV equal modulo wall_ms."""
+    s1, s2 = cli.cmd_run(config, out_a), cli.cmd_run(config, out_b)
+    return s1["x_star"] == s2["x_star"] and all(
+        verification.same_rows_modulo_wall(cli.read_trace_csv(out_a / e["trace"]),
+                                           cli.read_trace_csv(out_b / e["trace"]))
+        for e in s1["runs"]
+    )
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -188,21 +198,7 @@ class TestCmdRun:
         assert not list(out.glob("*.csv"))
 
     def test_replay_identical_modulo_wall(self, tmp_path):
-        cfg = small_config(tmp_path)
-        r1 = cli.cmd_run(cfg, tmp_path / "o1")
-        r2 = cli.cmd_run(cfg, tmp_path / "o2")
-        assert r1["x_star"] == r2["x_star"]
-        for name in ("vr_seed0.csv", "vr_seed1.csv"):
-            a = cli.read_trace_csv(tmp_path / "o1" / name)
-            b = cli.read_trace_csv(tmp_path / "o2" / name)
-            assert len(a) == len(b)
-            for ra, rb in zip(a, b):
-                for col in CSV_COLUMNS:
-                    if col == "wall_ms":
-                        continue
-                    assert ra[col] == rb[col] or (
-                        np.isnan(ra[col]) and np.isnan(rb[col])
-                    )
+        assert replays_identically(small_config(tmp_path), tmp_path / "o1", tmp_path / "o2")
 
     def test_divergent_run_recorded_not_raised(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[
@@ -231,6 +227,26 @@ class TestCmdRun:
             cli.cmd_run(cfg, tmp_path / "out")
         assert type(err.value) is RuntimeError
         assert str(err.value) == "every step size in the grid diverged for vrsc_pg"
+
+    @pytest.mark.parametrize("extra, trial_budget", [({"tune_queries": 500}, 500), ({}, 600)],
+                             ids=["tune_queries", "fifth_of_budget"])
+    def test_tune_trial_budget(self, extra, trial_budget, monkeypatch):
+        prob, reg = gen_linquad(8, 6, 5, 4, RngStream(3)), L1Penalty(1e-3)
+        x_star = prox_full_gradient(prob, reg, 0.1, 50_000, tol=1e-13).x_final
+        spec = {"name": "vrsc_pg", "m": 10, "S_epochs": 50, "A": 3, "B": 3, "b1": 3,
+                "eta_grid": [0.1, 0.01], **extra}
+        spent, vrsc_pg = [], solvers.vrsc_pg
+
+        def spy(*args, budget_queries, **kwargs):
+            res = vrsc_pg(*args, budget_queries=budget_queries, **kwargs)
+            spent.append((budget_queries, res.counter.total))
+            return res
+
+        monkeypatch.setattr(solvers, "vrsc_pg", spy)
+        cli.tune_step_size(spec, prob, reg, 0, {"max_queries": 3000}, x_star, 5)
+        assert len(spent) == 2
+        for budget, total in spent:  # at most one step, 2(A + B + b1), over
+            assert budget == trial_budget and total <= trial_budget + 18
 
     def test_tune_without_reference_optimum_rejected(self):
         # every gap is NaN without x_star, so no trial could ever be chosen
@@ -285,6 +301,7 @@ class TestCheckCommand:
     def test_all_checks_pass(self, capsys):
         assert cli.cmd_check() == 0
         assert "FAIL" not in capsys.readouterr().out
+        assert all(type(ok) is bool for _, ok, _ in verification.run_all())
 
     def test_detects_broken_prox(self, monkeypatch):
         # thresholding at lam instead of eta*lam: classic scaling slip

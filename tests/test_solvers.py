@@ -13,10 +13,15 @@ from composolve.problems import (
     PolicyEvalProblem,
     PortfolioProblem,
 )
-from composolve.metrics import TraceRecorder, composite_grad_sq, objective_H
+from composolve.metrics import (
+    TraceRecorder,
+    composite_grad_sq,
+    gradient_mapping,
+    objective_H,
+)
 from composolve.oracle import counted, scpg_cost, vrsc_pg_cost
 from composolve.regularizers import L1Penalty, ZeroPenalty
-from composolve import solvers
+from composolve import verification
 from composolve.solvers import (
     DivergedError,
     InvalidConfigError,
@@ -26,7 +31,6 @@ from composolve.solvers import (
     estimate_gradient_vt,
     estimate_inner_jacobian,
     estimate_inner_value,
-    gradient_mapping,
     prox_full_gradient,
     prox_svrg,
     scpg_baseline,
@@ -116,11 +120,7 @@ class TanhInnerProblem(CompositionProblem):
 
 class TestEstimators:
     def test_inner_value_cancels_at_snapshot(self):
-        prob = linquad()
-        x = RngStream(3).normal(size=prob.dim_x)
-        snap = compute_snapshot(prob, x)
-        idx = sample_with_replacement(RngStream(4), prob.n2, 5)
-        assert np.array_equal(estimate_inner_value(snap, prob, x, idx), snap.G_s)
+        assert verification.check_snapshot_cancellation()[1]
 
     def test_inner_value_single_index_formula(self):
         prob = linquad()
@@ -155,11 +155,7 @@ class TestEstimators:
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
 
     def test_inner_jacobian_cancels_at_snapshot(self):
-        prob = policy_eval()
-        x = RngStream(7).normal(size=prob.dim_x)
-        snap = compute_snapshot(prob, x)
-        idx = sample_with_replacement(RngStream(8), prob.n2, 4)
-        assert np.array_equal(estimate_inner_jacobian(snap, prob, x, idx), snap.J_s)
+        assert verification.check_snapshot_cancellation()[1]
 
     def test_inner_jacobian_exact_for_affine_maps(self):
         prob = PortfolioProblem(gen_gaussian_rewards(10, 4, 2.0, RngStream(9)))
@@ -192,13 +188,7 @@ class TestEstimators:
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
 
     def test_gradient_estimate_cancels_at_snapshot(self):
-        prob = linquad()
-        x = RngStream(12).normal(size=prob.dim_x)
-        snap = compute_snapshot(prob, x)
-        for trial in range(5):
-            idx = sample_with_replacement(RngStream(trial), prob.n1, 4)
-            v = estimate_gradient_vt(snap, prob, x, snap.G_s, idx, idx)
-            assert np.max(np.abs(v - snap.grad_f_s)) <= 1e-12
+        assert verification.check_snapshot_cancellation()[1]
 
     def test_gradient_estimate_full_batch_exact(self):
         prob = linquad()
@@ -351,20 +341,10 @@ class TestVrscPg:
         res = vrsc_pg(prob, ZeroPenalty(), cfg, x0=x_star)
         assert np.linalg.norm(res.x_final - x_star) <= 1e-10
 
+    # the check runs both batch modes on every composition class
     @pytest.mark.parametrize("batches", ["full", "single"])
     def test_full_batch_matches_prox_gradient_stepwise(self, batches):
-        # m = 1 takes every step at its own snapshot, where the estimates
-        # equal the full-batch values exactly, whatever the batch sizes
-        prob = linquad()
-        reg = L1Penalty(1e-3)
-        eta = 0.08
-        a, b, b1 = (prob.n2, prob.n2, prob.n1) if batches == "full" else (1, 1, 1)
-        cfg = VrscpgConfig(eta=eta, m=1, S_epochs=25, A=a, B=b, b1=b1, seed=0)
-        res = vrsc_pg(prob, reg, cfg)
-        ref = prox_full_gradient(prob, reg, eta, 25)
-        for mine, theirs in zip(res.trace[1:], ref.trace[1:]):
-            assert abs(mine.objective - theirs.objective) <= 1e-12
-        assert np.array_equal(res.x_final, ref.x_final)
+        assert verification.check_full_batch_degeneration()[1]
 
     def test_converges_on_portfolio_settings(self):
         prob = PortfolioProblem(gen_gaussian_rewards(60, 10, 2.0, RngStream(16)))
@@ -376,12 +356,7 @@ class TestVrscPg:
         assert gaps[-1] < 1e-6 and gaps[-1] < gaps[0]
 
     def test_determinism_bitwise(self):
-        prob = linquad()
-        cfg = VrscpgConfig(eta=0.05, m=8, S_epochs=4, A=3, B=3, b1=3, seed=21)
-        r1 = vrsc_pg(prob, L1Penalty(1e-2), cfg)
-        r2 = vrsc_pg(prob, L1Penalty(1e-2), cfg)
-        assert np.array_equal(r1.x_final, r2.x_final)
-        assert [r.objective for r in r1.trace] == [r.objective for r in r2.trace]
+        assert verification.check_determinism()[1]
 
     def test_divergence_raises_with_trace(self):
         prob = linquad()
@@ -544,6 +519,14 @@ class TestBudgets:
         assert res.n_iters == 1
         assert res.counter.total == snapshot + 2 * (cfg.A + cfg.B + cfg.b1)
 
+    def test_last_row_describes_final_iterate(self):
+        prob, reg = linquad(), L1Penalty(1e-3)
+        cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
+        res = vrsc_pg(prob, reg, cfg, trace_stride=4, budget_queries=100)
+        assert res.n_iters % 4 != 0  # the budget ends between strides
+        assert res.trace[-1].objective == objective_H(prob, reg, res.x_final)
+        assert res.trace[-1].queries == res.counter.total
+
 
 class TestDivergence:
     def test_objective_overflow_ends_run_without_warnings(self):
@@ -613,11 +596,7 @@ class TestGradientMapping:
         assert np.allclose(gm, prob.full_gradient(x), atol=1e-14)
 
     def test_vanishes_at_regularized_optimum(self):
-        prob = linquad()
-        reg = L1Penalty(1e-2)
-        ref = prox_full_gradient(prob, reg, 0.1, 200_000, tol=1e-14)
-        gm = gradient_mapping(prob, reg, ref.x_final, 0.1)
-        assert np.linalg.norm(gm) <= 1e-7
+        assert verification.check_stationarity_metrics()[1]
 
     def test_one_dimensional_hand_case(self):
         from composolve.problems import LinQuadProblem
