@@ -56,9 +56,10 @@ class CountedCompositionProblem(CompositionProblem):
 
     Numerical outputs are exactly those of the wrapped problem. A
     transpose-Jacobian product J_j^T u costs one inner-Jacobian query per
-    index, and the mean inner Jacobian comes from the problem's own method
-    at n2 queries; the other full-batch operations inherit the generic
-    per-index loops.
+    index. The full-batch means come from the problem's own methods, closed
+    forms or generic loops, at their per-index cost: n2 inner values, n2
+    inner Jacobians, or n1 outer gradients. The product with the mean
+    Jacobian reuses what `full_inner_jacobian` paid for and costs nothing.
     """
 
     def __init__(self, problem):
@@ -81,9 +82,16 @@ class CountedCompositionProblem(CompositionProblem):
         self.counter.add(inner_jacobian=len(js))
         return self._problem.inner_vjp_batch(js, x, u)
 
+    def full_inner_value(self, x):
+        self.counter.add(inner_value=self.n2)
+        return self._problem.full_inner_value(x)
+
     def full_inner_jacobian(self, x):
         self.counter.add(inner_jacobian=self.n2)
         return self._problem.full_inner_jacobian(x)
+
+    def mean_inner_vjp(self, jac, v):
+        return self._problem.mean_inner_vjp(jac, v)
 
     def outer_value_batch(self, is_, y):
         return self._problem.outer_value_batch(is_, y)
@@ -92,12 +100,17 @@ class CountedCompositionProblem(CompositionProblem):
         self.counter.add(outer_gradient=len(is_))
         return self._problem.outer_gradient_batch(is_, y)
 
+    def mean_outer_gradient(self, y):
+        self.counter.add(outer_gradient=self.n1)
+        return self._problem.mean_outer_gradient(y)
+
 
 class CountedFiniteSumProblem(FiniteSumProblem):
     """Counting wrapper for plain finite-sum problems.
 
     Component-gradient queries are the only oracle cost and are tallied
-    in the outer-gradient slot of the counter.
+    in the outer-gradient slot of the counter; the full gradient comes from
+    the problem's own method at n queries, and objective values are free.
     """
 
     def __init__(self, problem):
@@ -112,6 +125,13 @@ class CountedFiniteSumProblem(FiniteSumProblem):
     def comp_gradient_batch(self, is_, x):
         self.counter.add(outer_gradient=len(is_))
         return self._problem.comp_gradient_batch(is_, x)
+
+    def objective_f(self, x):
+        return self._problem.objective_f(x)
+
+    def full_gradient(self, x):
+        self.counter.add(outer_gradient=self.n)
+        return self._problem.full_gradient(x)
 
 
 def counted(problem):

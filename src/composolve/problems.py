@@ -8,10 +8,19 @@ solvers stay vectorized; the per-index cost accounting in the oracle
 module counts one query per index evaluated.
 
 A subclass implements four evaluators: inner values, inner Jacobians,
-outer values and outer gradients. The transpose-Jacobian product
-`inner_vjp_batch(js, x, u)`, the stacked J_j(x)^T u that the solvers use
-in place of dense Jacobians, has a generic default built from
-`inner_jacobian_batch`; the shipped classes override it with closed forms.
+outer values and outer gradients. Every other operation has a generic
+default built from them, which a subclass may override with a closed form
+(the shipped classes do):
+
+- `inner_vjp_batch(js, x, u)`: the stacked J_j(x)^T u that the solvers use
+  in place of dense Jacobians;
+- `full_inner_value(x)`, `full_inner_jacobian(x)` and
+  `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
+- `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
+  returned.
+
+The full pass, and so the full gradient, the epoch snapshot and every
+trace row, is built from these hooks.
 """
 
 import json
@@ -86,15 +95,23 @@ class CompositionProblem:
             total += self.inner_jacobian_batch(js, x).sum(axis=0)
         return total / self.n2
 
-    def chain_rule(self, is_, jac, y):
-        """jac^T (1/|is_|) sum_i grad F_i(y); costs len(is_) outer-gradient queries."""
-        return jac.T @ self.outer_gradient_batch(is_, y).mean(axis=0)
+    def mean_outer_gradient(self, y):
+        """(1/n1) sum_i grad F_i(y); costs n1 outer-gradient queries."""
+        return self.outer_gradient_batch(np.arange(self.n1), y).mean(axis=0)
+
+    def mean_inner_vjp(self, jac, v):
+        """jac^T v for the mean inner Jacobian jac from `full_inner_jacobian`;
+        no queries."""
+        return jac.T @ v
 
     def full_pass(self, x):
-        """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries."""
+        """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries.
+
+        The chain rule grad f(x) = J(x)^T (1/n1) sum_i grad F_i(G(x)).
+        """
         g_bar = self.full_inner_value(x)
         jac = self.full_inner_jacobian(x)
-        return g_bar, jac, self.chain_rule(np.arange(self.n1), jac, g_bar)
+        return g_bar, jac, self.mean_inner_vjp(jac, self.mean_outer_gradient(g_bar))
 
     def full_gradient(self, x):
         """Chain-rule gradient of f at x; costs n2 + n2 + n1 queries."""
@@ -136,6 +153,7 @@ class PortfolioProblem(CompositionProblem):
         self.dim_x = dim
         self.dim_y = dim + 1
         self._eye = np.eye(dim)
+        self.r_bar = rewards.mean(axis=0)
 
     def inner_value_batch(self, js, x):
         out = np.empty((len(js), self.dim_y))
@@ -168,10 +186,21 @@ class PortfolioProblem(CompositionProblem):
         out[:, self.dim_x] = -t
         return out
 
-    # Inner maps are affine, so the mean Jacobian has a closed form.
+    # Each full-batch mean is one product with the rewards or their mean r_bar.
+    def full_inner_value(self, x):
+        x = self._check_x(x)
+        return np.append(x, self.r_bar @ x)
+
     def full_inner_jacobian(self, x):
         self._check_x(x)
-        return np.vstack([self._eye, self.rewards.mean(axis=0)])
+        return np.vstack([self._eye, self.r_bar])
+
+    def mean_outer_gradient(self, y):
+        t = 2.0 * (self.rewards @ y[: self.dim_x] - y[self.dim_x])
+        return np.append((t - 1.0) @ self.rewards / self.n1, -t.mean())
+
+    def mean_inner_vjp(self, jac, v):
+        return v[: self.dim_x] + v[self.dim_x] * self.r_bar
 
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""
@@ -250,9 +279,22 @@ class PolicyEvalProblem(CompositionProblem):
         out[rows, s + is_] = -2.0 * r
         return out
 
+    def full_inner_value(self, x):
+        x = self._check_x(x)
+        return np.concatenate([x, self.bellman_operator(x)])
+
     def full_inner_jacobian(self, x):
         self._check_x(x)
         return np.vstack([self._eye, self.gamma * self.transition])
+
+    def mean_outer_gradient(self, y):
+        s = self.n_states
+        r = 2.0 * (y[:s] - y[s:]) / s
+        return np.concatenate([r, -r])
+
+    def mean_inner_vjp(self, jac, v):
+        s = self.n_states
+        return v[:s] + self.gamma * (v[s:] @ self.transition)
 
     def bellman_operator(self, x):
         return self.r_bar + self.gamma * (self.transition @ x)
@@ -320,9 +362,15 @@ class LinQuadProblem(CompositionProblem):
     def outer_gradient_batch(self, is_, y):
         return y - self.b_vecs[is_]
 
+    def full_inner_value(self, x):
+        return self.q_bar @ self._check_x(x) + self.c_bar
+
     def full_inner_jacobian(self, x):
         self._check_x(x)
         return self.q_bar.copy()
+
+    def mean_outer_gradient(self, y):
+        return y - self.b_bar
 
     def hessian(self):
         return self.q_bar.T @ self.q_bar
@@ -399,6 +447,16 @@ class LassoProblem(FiniteSumProblem):
     def comp_gradient_batch(self, is_, x):
         r = self.design[is_] @ x - self.targets[is_]
         return r[:, None] * self.design[is_]
+
+    def _residual(self, x):
+        return self.design @ x - self.targets
+
+    def objective_f(self, x):
+        r = self._residual(x)
+        return float((0.5 * r * r).mean())
+
+    def full_gradient(self, x):
+        return self.design.T @ self._residual(x) / self.n
 
     def least_squares_solution(self):
         sol, *_ = np.linalg.lstsq(self.design, self.targets, rcond=None)

@@ -130,18 +130,22 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     """Composite-gradient estimate from transpose-Jacobian products; 2B + 2 b1 queries.
 
-    With u = mean_i grad F_i(g_hat) over I and the Jacobian estimate j_hat of
-    `estimate_inner_jacobian` over B, this is
-    j_hat^T u - mean_i J_s^T grad F_i(G^s) + grad f(x_tilde), where
-    j_hat^T u = J_s^T u - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) needs no Jacobian.
+    With u = mean_i grad F_i(g_hat) and u_s = mean_i grad F_i(G^s) over I, and
+    the Jacobian estimate j_hat of `estimate_inner_jacobian` over B, this is
+    j_hat^T u - J_s^T u_s + grad f(x_tilde)
+      = J_s^T (u - u_s) - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) + grad f(x_tilde):
+    one product with the snapshot Jacobian, by the problem's `mean_inner_vjp`,
+    and no Jacobian built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde)
+    exactly.
     """
     if len(b_indices) == 0 or len(i_indices) == 0:
         raise ValueError("index set must be nonempty")
     u = problem.outer_gradient_batch(i_indices, g_hat).mean(axis=0)
+    u_s = problem.outer_gradient_batch(i_indices, snap.G_s).mean(axis=0)
     at_ref = problem.inner_vjp_batch(b_indices, snap.x_tilde, u)
     at_x = problem.inner_vjp_batch(b_indices, x, u)
-    at_hat = snap.J_s.T @ u - (at_ref - at_x).mean(axis=0)
-    return at_hat - problem.chain_rule(i_indices, snap.J_s, snap.G_s) + snap.grad_f_s
+    return (problem.mean_inner_vjp(snap.J_s, u - u_s) - (at_ref - at_x).mean(axis=0)
+            + snap.grad_f_s)
 
 
 # -- solvers ------------------------------------------------------------------

@@ -213,11 +213,11 @@ class TestTraceRecorder:
         rec = TraceRecorder(prob, L1Penalty(1e-3), 0.1, counter,
                             x_star=np.zeros(prob.dim_x))
         seen = []
-        inner_value_batch = prob.inner_value_batch
-        monkeypatch.setattr(prob, "inner_value_batch",
-                            lambda js, x: seen.append(len(js)) or inner_value_batch(js, x))
+        full_inner_value = prob.full_inner_value
+        monkeypatch.setattr(prob, "full_inner_value",
+                            lambda x: seen.append(x) or full_inner_value(x))
         rec.record(0, 0, RngStream(12).normal(size=prob.dim_x))
-        assert sum(seen) == prob.n2
+        assert len(seen) == 1
 
     def test_wall_and_queries_nondecreasing(self):
         prob = linquad()

@@ -8,6 +8,8 @@ from composolve import verification
 from composolve.numerics import RngStream, central_difference_gradient
 from composolve.problems import (
     _KINDS,
+    CompositionProblem,
+    FiniteSumProblem,
     LassoProblem,
     LinQuadProblem,
     PolicyEvalProblem,
@@ -100,6 +102,25 @@ class TestFullBatchOperations:
             generic = prob.inner_jacobian_batch(np.arange(prob.n2), x).mean(axis=0)
             assert np.allclose(prob.full_inner_jacobian(x), generic,
                                rtol=1e-14, atol=1e-14)
+
+        # and so must every other closed form, within 1e-13 of the largest entry
+        def close(fast, generic):
+            fast, generic = np.asarray(fast), np.asarray(generic)
+            return np.max(np.abs(fast - generic)) <= 1e-13 * np.max(np.abs(generic))
+
+        rng = RngStream(15)
+        for prob in (small_portfolio(), small_policy_eval(), small_linquad(n1=9)):
+            x, y, v = (rng.normal(size=d) for d in (prob.dim_x, prob.dim_y, prob.dim_y))
+            jac = prob.full_inner_jacobian(x)
+            for name, args in (("full_inner_value", (x,)), ("full_inner_jacobian", (x,)),
+                               ("mean_outer_gradient", (y,)), ("mean_inner_vjp", (jac, v))):
+                generic = getattr(CompositionProblem, name)(prob, *args)
+                assert close(getattr(prob, name)(*args), generic), (prob.kind, name)
+        lasso = gen_lasso(20, 5, RngStream(16))
+        x = rng.normal(size=lasso.dim_x)
+        for name in ("objective_f", "full_gradient"):
+            generic = getattr(FiniteSumProblem, name)(lasso, x)
+            assert close(getattr(lasso, name)(x), generic), ("lasso", name)
 
     # the check covers every class
     @pytest.mark.parametrize(
