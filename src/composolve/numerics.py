@@ -54,15 +54,22 @@ def as_matrix(a, name="a", rows=None, cols=None):
 
 
 def sample_with_replacement(rng, n, k):
-    """Draw k indices uniformly and independently from [0, n).
+    """Draw indices uniformly and independently, with replacement.
 
-    Advances the stream by exactly k draws.
+    With an integer population n, k indices from [0, n). With a 1-D array
+    of populations n, a (k, len(n)) block whose column c draws from
+    [0, n[c]). The block replays bitwise the k * len(n) single draws made
+    row by row, in column order, from the same stream, and leaves the
+    stream where those draws would: numpy's bounded-integer sampler takes
+    each index from the stream in turn, by rejection, so how many raw words
+    one index consumes varies, but the order does not.
     """
-    if n < 1:
+    block = isinstance(n, np.ndarray)
+    if (n.min() if block else n) < 1:
         raise ValueError("population size n must be >= 1")
     if k < 0:
         raise ValueError("sample size k must be >= 0")
-    return rng.integers(n, size=int(k))
+    return rng.integers(n, size=(int(k), len(n)) if block else int(k))
 
 
 def l2_norm_sq(v):

@@ -13,7 +13,9 @@ both budgets. The query and wall-clock budgets are checked before every
 full pass and every step, and a full pass is paid only if a step can
 follow it. A run whose iterate, or whose recorded objective, stops being
 finite ends with `DivergedError`; numpy's overflow warnings are silenced
-inside the loop, since that error reports the divergence.
+inside the loop, since that error reports the divergence. The stochastic
+solvers draw their index sets a block of steps at a time (`_index_sets`),
+which replays bitwise the draws of one stream call per index set.
 """
 
 import math
@@ -111,7 +113,7 @@ def estimate_inner_value(snap, problem, x, a_indices):
         raise ValueError("index set must be nonempty")
     at_ref = problem.inner_value_batch(a_indices, snap.x_tilde)
     at_x = problem.inner_value_batch(a_indices, x)
-    return snap.G_s - (at_ref - at_x).mean(axis=0)
+    return snap.G_s - (at_ref - at_x).sum(axis=0) / len(a_indices)
 
 
 def estimate_inner_jacobian(snap, problem, x, b_indices):
@@ -124,7 +126,7 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
         raise ValueError("index set must be nonempty")
     at_ref = problem.inner_jacobian_batch(b_indices, snap.x_tilde)
     at_x = problem.inner_jacobian_batch(b_indices, x)
-    return snap.J_s - (at_ref - at_x).mean(axis=0)
+    return snap.J_s - (at_ref - at_x).sum(axis=0) / len(b_indices)
 
 
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
@@ -140,15 +142,35 @@ def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     """
     if len(b_indices) == 0 or len(i_indices) == 0:
         raise ValueError("index set must be nonempty")
-    u = problem.outer_gradient_batch(i_indices, g_hat).mean(axis=0)
-    u_s = problem.outer_gradient_batch(i_indices, snap.G_s).mean(axis=0)
+    b1 = len(i_indices)
+    u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / b1
+    u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / b1
     at_ref = problem.inner_vjp_batch(b_indices, snap.x_tilde, u)
     at_x = problem.inner_vjp_batch(b_indices, x, u)
-    return (problem.mean_inner_vjp(snap.J_s, u - u_s) - (at_ref - at_x).mean(axis=0)
-            + snap.grad_f_s)
+    return (problem.mean_inner_vjp(snap.J_s, u - u_s)
+            - (at_ref - at_x).sum(axis=0) / len(b_indices) + snap.grad_f_s)
 
 
 # -- solvers ------------------------------------------------------------------
+
+# Indices per stream call: bounds the block whatever the epoch length m.
+_BLOCK_INDICES = 16384
+
+
+def _index_sets(rng, groups, steps):
+    """The index sets of `steps` steps, one array per (population, size) group.
+
+    The indices come in blocks of whole steps, one stream call per block of
+    at most _BLOCK_INDICES indices (or of one step, if a step needs more),
+    and replay bitwise the per-step draws of each group in turn; see
+    `sample_with_replacement`.
+    """
+    highs = np.repeat([n for n, _ in groups], [k for _, k in groups])
+    cuts = np.cumsum([k for _, k in groups])[:-1]
+    rows = max(1, _BLOCK_INDICES // len(highs))
+    for start in range(0, steps, rows):
+        block = sample_with_replacement(rng, highs, min(rows, steps - start))
+        yield from zip(*np.split(block, cuts, axis=1))
 
 
 def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
@@ -178,7 +200,7 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
     iters = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch, inner_iter, x in steps(cp, x, room):
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
             iters += 1
             record(epoch, inner_iter, x)
@@ -212,16 +234,16 @@ def vrsc_pg(
 
     def steps(cp, x, room):
         rng = RngStream(cfg.seed)
+        groups = ((problem.n2, cfg.A), (problem.n2, cfg.B), (problem.n1, cfg.b1))
         for s in range(cfg.S_epochs):
             if not room(full_gradient_cost(problem.n1, problem.n2)):
                 return
             snap = compute_snapshot(cp, x)
+            draws = _index_sets(rng, groups, cfg.m)
             for t in range(cfg.m):
                 if not room():
                     return
-                a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
-                b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
-                i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
+                a_idx, b_idx, i_idx = next(draws)
                 g_hat = estimate_inner_value(snap, cp, x, a_idx)
                 v_t = estimate_gradient_vt(snap, cp, x, g_hat, b_idx, i_idx)
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
@@ -259,17 +281,16 @@ def scpg_baseline(
         raise ValueError("decay exponents must lie in (0, 1]")
 
     def steps(cp, x, room):
-        rng = RngStream(seed)
+        draws = _index_sets(RngStream(seed), ((problem.n2, 1), (problem.n1, 1)), iters)
         y = np.zeros(problem.dim_y)
         for t in range(iters):
             if not room():
                 return
             alpha_t = alpha0 / (1.0 + t) ** exp_alpha
             beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
-            j = sample_with_replacement(rng, problem.n2, 1)
+            j, i = next(draws)
             g_j = cp.inner_value_batch(j, x)[0]
             y = (1.0 - beta_t) * y + beta_t * g_j
-            i = sample_with_replacement(rng, problem.n1, 1)
             grad_i = cp.outer_gradient_batch(i, y)[0]
             x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
             yield 0, t + 1, x
@@ -306,10 +327,11 @@ def prox_svrg(
                 return
             x_tilde = x
             f_prime = cp.full_gradient(x_tilde)
+            draws = _index_sets(rng, ((fsp.n, 1),), m)
             for t in range(m):
                 if not room():
                     return
-                i = sample_with_replacement(rng, fsp.n, 1)
+                (i,) = next(draws)
                 v_t = (
                     cp.comp_gradient_batch(i, x)[0]
                     - cp.comp_gradient_batch(i, x_tilde)[0]

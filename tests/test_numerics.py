@@ -33,6 +33,31 @@ class TestSampleWithReplacement:
     def test_frequencies_within_four_sigma(self):
         assert verification.check_sampling_uniformity()[1]
 
+    @pytest.mark.parametrize("highs", [
+        [7],  # width 1, one population
+        [96, 64],  # width 2, n1 != n2: one draw per population per row
+        [9] * 5 + [9] * 5 + [12] * 5,  # width 15: A + B from n2, then b1 from n1
+        [10**6, 3, 2**40],  # populations beyond 32 bits take the 64-bit sampler
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_block_replays_interleaved_draws(self, highs, seed):
+        # the solvers draw a block of steps at once; it must equal, bit for
+        # bit, the single draws made step by step in column order, and leave
+        # the stream where they leave it
+        block_rng, step_rng = RngStream(seed), RngStream(seed)
+        block = sample_with_replacement(block_rng, np.array(highs), 37)
+        steps = [[sample_with_replacement(step_rng, n, 1)[0] for n in highs]
+                 for _ in range(37)]
+        assert block.shape == (37, len(highs)) and block.dtype == np.int64
+        assert np.array_equal(block, np.array(steps))
+        assert np.array_equal(block_rng.integers(1000, size=8),
+                              step_rng.integers(1000, size=8))
+
+    def test_block_zero_rows_and_bad_population(self):
+        assert sample_with_replacement(RngStream(0), np.array([3, 4]), 0).shape == (0, 2)
+        with pytest.raises(ValueError):
+            sample_with_replacement(RngStream(0), np.array([3, 0]), 2)
+
 
 class TestCentralDifference:
     def test_quadratic_exact(self):

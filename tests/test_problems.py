@@ -95,6 +95,16 @@ class TestFullBatchOperations:
         j1 = prob.inner_jacobian_batch(np.arange(prob.n2), rng.normal(size=prob.dim_x))
         assert np.array_equal(j0, j1)
 
+    @pytest.mark.parametrize("maker", [small_portfolio, small_policy_eval])
+    def test_constant_mean_jacobian_shared_read_only(self, maker):
+        # every full pass returns the one matrix built at construction, so no
+        # caller may write into it
+        prob = maker()
+        jac = prob.full_inner_jacobian(np.zeros(prob.dim_x))
+        assert prob.full_inner_jacobian(np.ones(prob.dim_x)) is jac
+        with pytest.raises(ValueError):
+            jac[0, 0] = 2.0
+
     def test_jacobian_override_matches_generic_loop(self):
         # fast closed-form paths must agree with the per-index definition
         for prob in (small_portfolio(), small_policy_eval(), small_linquad()):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from composolve.metrics import (
     gradient_mapping,
     objective_H,
 )
-from composolve.oracle import counted, scpg_cost, vrsc_pg_cost
+from composolve.oracle import counted, full_gradient_cost, scpg_cost, vrsc_pg_cost
 from composolve.regularizers import L1Penalty, ZeroPenalty
-from composolve import verification
+from composolve import solvers, verification
 from composolve.solvers import (
     DivergedError,
     InvalidConfigError,
@@ -545,6 +546,148 @@ class TestDivergence:
         trace = err.value.trace
         assert len(trace) > 1 and all(np.isfinite(r.objective) for r in trace)
         assert trace[-1].queries < budget // 10
+
+
+# -- the per-step draws that the block draws replace, as test-only references --
+
+
+def _drive_steps(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
+                 budget_queries=None, budget_wall_s=None):
+    return solvers._drive(problem, reg, eta, x0, x_star, trace_stride,
+                          budget_queries, budget_wall_s, steps)
+
+
+def per_step_vrsc_pg(problem, reg, cfg, **kw):
+    def steps(cp, x, room):
+        rng = RngStream(cfg.seed)
+        for s in range(cfg.S_epochs):
+            if not room(full_gradient_cost(problem.n1, problem.n2)):
+                return
+            snap = compute_snapshot(cp, x)
+            for t in range(cfg.m):
+                if not room():
+                    return
+                a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
+                b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
+                i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
+                g_hat = estimate_inner_value(snap, cp, x, a_idx)
+                v_t = estimate_gradient_vt(snap, cp, x, g_hat, b_idx, i_idx)
+                x = reg.prox(x - cfg.eta * v_t, cfg.eta)
+                yield s, t + 1, x
+
+    return _drive_steps(problem, reg, cfg.eta, steps, **kw)
+
+
+def per_step_scpg(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed, **kw):
+    def steps(cp, x, room):
+        rng = RngStream(seed)
+        y = np.zeros(problem.dim_y)
+        for t in range(iters):
+            if not room():
+                return
+            alpha_t = alpha0 / (1.0 + t) ** exp_alpha
+            beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
+            j = sample_with_replacement(rng, problem.n2, 1)
+            y = (1.0 - beta_t) * y + beta_t * cp.inner_value_batch(j, x)[0]
+            i = sample_with_replacement(rng, problem.n1, 1)
+            grad_i = cp.outer_gradient_batch(i, y)[0]
+            x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
+            yield 0, t + 1, x
+
+    return _drive_steps(problem, reg, alpha0, steps, **kw)
+
+
+def per_step_prox_svrg(fsp, reg, eta, m, S_epochs, seed, **kw):
+    def steps(cp, x, room):
+        rng = RngStream(seed)
+        for s in range(S_epochs):
+            if not room(fsp.n):
+                return
+            x_tilde = x
+            f_prime = cp.full_gradient(x_tilde)
+            for t in range(m):
+                if not room():
+                    return
+                i = sample_with_replacement(rng, fsp.n, 1)
+                v_t = (cp.comp_gradient_batch(i, x)[0]
+                       - cp.comp_gradient_batch(i, x_tilde)[0] + f_prime)
+                x = reg.prox(x - eta * v_t, eta)
+                yield s, t + 1, x
+
+    return _drive_steps(fsp, reg, eta, steps, **kw)
+
+
+def replay(run):
+    """What a run must replay bitwise: the iterate, the rows but their clocks,
+    the iteration count and the query triple; a diverged run, its last
+    finite iterate and rows."""
+    try:
+        res = run()
+    except DivergedError as err:
+        return ("diverged", err.x_last.tobytes(),
+                [repr(replace(r, wall_ms=0.0)) for r in err.trace])
+    return (res.x_final.tobytes(), [repr(replace(r, wall_ms=0.0)) for r in res.trace],
+            res.n_iters, res.counter.snapshot())
+
+
+_LQ = dict(n1=7, n2=11, dim_y=6, dim_x=5)  # n1 != n2
+_VR = dict(m=9, S_epochs=40, A=2, B=3, b1=4, seed=5)
+# name -> (call, block-draw solver, per-step reference, steps taken); each
+# budget stops its run mid-epoch: a step starts while the total is under it
+BLOCK_DRAW_RUNS = {
+    # snapshots of 29 queries, steps of 18: the 5th step of the 2nd epoch
+    "vrsc_pg": (
+        lambda run: run(linquad(**_LQ), L1Penalty(1e-3), VrscpgConfig(eta=0.05, **_VR),
+                        trace_stride=4, budget_queries=2 * 29 + 13 * 18 + 1),
+        vrsc_pg, per_step_vrsc_pg, 14),
+    "vrsc_pg_diverging": (
+        lambda run: run(linquad(**_LQ), ZeroPenalty(), VrscpgConfig(eta=50.0, **_VR)),
+        vrsc_pg, per_step_vrsc_pg, None),
+    "scpg": (
+        lambda run: run(linquad(**_LQ), L1Penalty(1e-3), 0.05, 1.0, 0.75, 0.5, 10**9, 3,
+                        trace_stride=5, budget_queries=3 * 47 + 2),
+        scpg_baseline, per_step_scpg, 48),
+    # snapshots of 15 queries, steps of 2: the 8th step of the 3rd epoch
+    "prox_svrg": (
+        lambda run: run(gen_lasso(15, 4, RngStream(25)), L1Penalty(1e-3), 0.5, 12, 5, 4,
+                        trace_stride=3, budget_queries=3 * 15 + 2 * 12 * 2 + 7 * 2 + 1),
+        prox_svrg, per_step_prox_svrg, 32),
+}
+
+
+class TestBlockDraws:
+    """Indices drawn a block of steps at a time replay the per-step draws."""
+
+    # the default block holds every step of these epochs; a block of 20
+    # indices holds 2 vrsc_pg steps or 10 scpg steps, so those refill inside
+    # an epoch; either way every budget ends mid-block
+    @pytest.mark.parametrize("block", [solvers._BLOCK_INDICES, 20])
+    @pytest.mark.parametrize("name", sorted(BLOCK_DRAW_RUNS))
+    def test_replays_per_step_draws(self, name, block, monkeypatch):
+        monkeypatch.setattr(solvers, "_BLOCK_INDICES", block)
+        call, blocked, per_step, iters = BLOCK_DRAW_RUNS[name]
+        expect = replay(lambda: call(per_step))
+        assert replay(lambda: call(blocked)) == expect
+        assert expect[0] == "diverged" if iters is None else expect[2] == iters
+
+    def test_one_stream_call_per_epoch(self, monkeypatch):
+        calls = []
+
+        def counting(rng, n, k):
+            calls.append(k)
+            return sample_with_replacement(rng, n, k)
+
+        monkeypatch.setattr(solvers, "sample_with_replacement", counting)
+        cfg = VrscpgConfig(eta=0.05, m=30, S_epochs=3, A=2, B=2, b1=2)
+        res = vrsc_pg(linquad(**_LQ), ZeroPenalty(), cfg)
+        assert res.n_iters == 90 and calls == [30, 30, 30]
+
+    def test_block_bounded_for_huge_epochs(self):
+        # one index array for the epoch would hold m (A + B + b1) = 1.5e10 entries
+        prob = linquad(**_LQ)
+        cfg = VrscpgConfig(eta=0.05, m=10**9, S_epochs=1, A=5, B=5, b1=5)
+        res = vrsc_pg(prob, ZeroPenalty(), cfg, budget_queries=29 + 30 * 40)
+        assert res.n_iters == 40 and res.counter.total == 29 + 30 * 40
 
 
 # every problem kind, plus the generic chunked Jacobian loop (n2 = 70 > 64)
