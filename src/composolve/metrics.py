@@ -1,5 +1,6 @@
-"""Convergence diagnostics and the per-run trace recorder."""
+"""Convergence diagnostics and the per-run trace recorder, which vets its rows."""
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -75,8 +76,17 @@ def verify_optimum(problem, reg, x_star, eta):
     return float(np.sqrt(l2_norm_sq(gradient_mapping(problem, reg, x_star, eta))))
 
 
+class DivergedError(RuntimeError):
+    """An iterate or its objective stopped being finite; carries the finite trace."""
+
+    def __init__(self, message, trace, x_last):
+        super().__init__(message)
+        self.trace = trace
+        self.x_last = x_last
+
+
 class TraceRecorder:
-    """Collects one row per recorded iterate.
+    """Collects one finite row per recorded iterate, or raises `DivergedError`.
 
     Diagnostics (objective, gradient mapping, composite subgradient) come
     from one full pass on the raw problem, so instrumentation never perturbs
@@ -100,6 +110,8 @@ class TraceRecorder:
             return
         f, g = self.problem.objective_and_gradient(x)
         obj = f + self.reg.value(x)
+        if not math.isfinite(obj):
+            raise DivergedError("objective is not finite", self.rows, x)
         gap = float("nan") if self._h_star is None else obj - self._h_star
         qv, qj, qo = self.counter.snapshot()
         self.rows.append(

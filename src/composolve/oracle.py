@@ -6,16 +6,13 @@ gradient of F_i at y. Outer function values are diagnostics and are
 never counted.
 """
 
-import threading
-
 from .problems import CompositionProblem, FiniteSumProblem
 
 
 class QueryCounter:
-    """Monotone tallies of the three sampling-oracle query kinds."""
+    """Monotone tallies of the three query kinds; one run owns and writes it."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.inner_value_queries = 0
         self.inner_jacobian_queries = 0
         self.outer_gradient_queries = 0
@@ -29,19 +26,17 @@ class QueryCounter:
         )
 
     def add(self, inner_value=0, inner_jacobian=0, outer_gradient=0):
-        with self._lock:
-            self.inner_value_queries += inner_value
-            self.inner_jacobian_queries += inner_jacobian
-            self.outer_gradient_queries += outer_gradient
+        self.inner_value_queries += inner_value
+        self.inner_jacobian_queries += inner_jacobian
+        self.outer_gradient_queries += outer_gradient
 
     def snapshot(self):
         """Immutable (inner_value, inner_jacobian, outer_gradient) triple."""
-        with self._lock:
-            return (
-                self.inner_value_queries,
-                self.inner_jacobian_queries,
-                self.outer_gradient_queries,
-            )
+        return (
+            self.inner_value_queries,
+            self.inner_jacobian_queries,
+            self.outer_gradient_queries,
+        )
 
     def __repr__(self):
         return (

@@ -11,8 +11,9 @@ Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
 both budgets. The query and wall-clock budgets are checked before every
 full pass and every step, and a full pass is paid only if a step can
-follow it. A run whose iterate, or whose recorded objective, stops being
-finite ends with `DivergedError`; numpy's overflow warnings are silenced
+follow it. Each run owns its query counter. A non-finite iterate, or a
+row (the start row too) whose objective the recorder finds non-finite,
+ends the run with `DivergedError`; numpy's overflow warnings are silenced
 inside the loop, since that error reports the divergence. The stochastic
 solvers draw their index sets a block of steps at a time (`_index_sets`),
 which replays bitwise the draws of one stream call per index set.
@@ -24,18 +25,9 @@ from typing import List
 
 import numpy as np
 
-from .metrics import TraceRecord, TraceRecorder
+from .metrics import DivergedError, TraceRecord, TraceRecorder
 from .numerics import RngStream, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
-
-
-class DivergedError(RuntimeError):
-    """An iterate or its objective stopped being finite; carries the finite trace."""
-
-    def __init__(self, message, trace, x_last):
-        super().__init__(message)
-        self.trace = trace
-        self.x_last = x_last
 
 
 class InvalidConfigError(ValueError):
@@ -179,33 +171,28 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
 
     steps yields (epoch, inner_iter, x) after each update, and returns when
     room(cost) before a full pass of cost queries, or room() before a step,
-    is false. Every trace_stride-th iterate is recorded, and so is the last
-    one, so that the final row describes x_final.
+    is false. The start point, every trace_stride-th iterate and the last one
+    are recorded, so that the final row describes x_final.
     """
     cp, counter = counted(problem)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x = np.zeros(problem.dim_x) if x0 is None else np.array(x0, dtype=np.float64)
     rec = TraceRecorder(problem, reg, eta, counter, x_star=x_star, stride=trace_stride)
-    rec.record(0, 0, x, force=True)
 
     def room(cost=0):
         if budget_queries is not None and counter.total + cost >= budget_queries:
             return False
         return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
 
-    def record(epoch, inner_iter, x, force=False):
-        rec.record(epoch, inner_iter, x, force)
-        if not math.isfinite(rec.rows[-1].objective):
-            raise DivergedError("objective is no longer finite", rec.rows[:-1], x)
-
     iters = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rec.record(0, 0, x, force=True)
         for epoch, inner_iter, x in steps(cp, x, room):
             if not np.isfinite(x).all():
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
             iters += 1
-            record(epoch, inner_iter, x)
+            rec.record(epoch, inner_iter, x)
         if iters % rec.stride:  # the last step fell between strides
-            record(epoch, inner_iter, x, force=True)
+            rec.record(epoch, inner_iter, x, force=True)
     return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 

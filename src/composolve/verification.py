@@ -46,6 +46,16 @@ def _compositions():
     return _portfolio(), _policy_eval(), _linquad()
 
 
+def _generic_view(prob):
+    """prob's four evaluators on a bare CompositionProblem, so that every other
+    operation is the base class's generic default: a new class's only path."""
+    view = problems.CompositionProblem()
+    for name in ("n1", "n2", "dim_x", "dim_y", "inner_value_batch",
+                 "inner_jacobian_batch", "outer_value_batch", "outer_gradient_batch"):
+        setattr(view, name, getattr(prob, name))
+    return view
+
+
 def same_rows_modulo_wall(rows_a, rows_b):
     """Trace rows (column -> value mappings) equal in every column but
     wall_ms, NaN matching NaN: what a replayed run must reproduce."""
@@ -202,8 +212,10 @@ def check_counting_transparency():
         spent = tuple(b - a for a, b in zip(before, counter.snapshot()))
         return bool(np.array_equal(result, raw_call()) and spent == charge)
 
-    # n2 = 70 > 64: a chunked generic Jacobian loop would sum in another order
-    for prob in (*_compositions(), _linquad(n2=70), _lasso()):
+    # linquad's closed forms at n2 = 70 > 64, and the same instance through the
+    # generic defaults alone, whose mean Jacobian is then a chunked loop
+    wide = _linquad(n2=70)
+    for prob in (*_compositions(), wide, _generic_view(wide), _lasso()):
         cp, counter = oracle.counted(prob)
         x = rng.normal(size=prob.dim_x)
         if isinstance(prob, problems.FiniteSumProblem):
@@ -228,7 +240,7 @@ def check_counting_transparency():
                                      lambda: getattr(prob, name)(*args), charge)
     return "counting wrapper changes no numbers", same, (
         "bitwise objective, gradient, full-batch means, J^T u and J_s^T v, "
-        "exact charges, every class"
+        "exact charges, every class and the generic defaults"
     )
 
 

@@ -74,6 +74,11 @@ class TestLoadConfig:
         with pytest.raises(jsonschema.ValidationError):
             cli.load_config(path)
 
+    def test_schema_solver_names_are_the_table_names(self):
+        schema = json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))
+        names = schema["properties"]["solvers"]["items"]["properties"]["name"]["enum"]
+        assert sorted(names) == sorted(cli._SOLVERS)
+
     def test_without_jsonschema_warns_and_loads(self, tmp_path, monkeypatch):
         monkeypatch.setitem(sys.modules, "jsonschema", None)
         path = write_config(tmp_path, small_config(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 from composolve import verification
 from composolve.metrics import (
     CSV_COLUMNS,
+    DivergedError,
     TraceRecord,
     TraceRecorder,
     composite_grad_sq,
@@ -185,6 +186,18 @@ class TestTraceRecorder:
         rec.record(0, 0, x)
         rec.record(0, 1, x, force=True)
         assert len(rec.rows) == 2
+
+    def test_non_finite_objective_raises_and_appends_nothing(self):
+        prob = linquad()
+        _, counter = counted(prob)
+        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, counter)
+        rec.record(0, 0, np.zeros(prob.dim_x))
+        x = np.full(prob.dim_x, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError) as err:
+                rec.record(0, 1, x)
+        assert len(rec.rows) == 1 and err.value.trace == rec.rows
+        assert err.value.x_last is x
 
     def test_gap_nan_without_reference(self):
         prob = linquad()

@@ -510,6 +510,14 @@ class TestBudgets:
         assert res.counter.snapshot() == (0, 0, 0)
         assert len(res.trace) == 1
 
+    @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+    def test_zero_step_run_returns_a_copy_of_x0(self, name):
+        run = BUDGETED_RUNS[name]
+        x0 = np.linspace(-1.0, 1.0, run(budget_wall_s=1e-9).x_final.size)
+        res = run(x0=x0, budget_wall_s=1e-9)
+        assert res.n_iters == 0 and np.array_equal(res.x_final, x0)
+        assert not np.shares_memory(res.x_final, x0)
+
     def test_snapshot_paid_only_if_a_step_can_follow(self):
         prob = linquad(n1=10, n2=12)
         cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
@@ -546,6 +554,26 @@ class TestDivergence:
         trace = err.value.trace
         assert len(trace) > 1 and all(np.isfinite(r.objective) for r in trace)
         assert trace[-1].queries < budget // 10
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_overflowing_start_ends_run_at_start_row(self, stride, monkeypatch):
+        # the start row's objective overflows, so no query is paid
+        counters = []
+
+        def counted_kept(problem):
+            counters.append(counted(problem))
+            return counters[-1]
+
+        monkeypatch.setattr(solvers, "counted", counted_kept)
+        prob = gen_linquad(10, 8, 6, 5, RngStream(2))
+        cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as err:
+                vrsc_pg(prob, ZeroPenalty(), cfg, x0=np.full(prob.dim_x, 1e200),
+                        trace_stride=stride)
+        assert err.value.trace == []
+        assert counters[0][1].snapshot() == (0, 0, 0)
 
 
 # -- the per-step draws that the block draws replace, as test-only references --
