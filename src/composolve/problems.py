@@ -32,6 +32,11 @@ from .numerics import RngStream, as_matrix, as_vector
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
 
+# Policy evaluation's snapshot product reads only the nonzero rows of P when
+# they are fewer than S / _SPARSE_SHARE; at S = 400 (1 BLAS thread) the
+# gathered product breaks even with the dense one near S / 4.
+_SPARSE_SHARE = 8
+
 
 def _frozen(a):
     """a, made read-only: a constant shared by every call that returns it."""
@@ -243,7 +248,6 @@ class PolicyEvalProblem(CompositionProblem):
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             raise ValueError("transition rows must sum to 1 within 1e-9")
         self.transition = transition
-        self.reward = reward
         self.gamma = float(gamma)
         self.n_states = s
         self.n1 = self.n2 = s
@@ -254,28 +258,39 @@ class PolicyEvalProblem(CompositionProblem):
         self._eye = self._mean_jac[:s]
         # expected one-step reward per state
         self.r_bar = (transition * reward).sum(axis=1)
+        # G_j reads column j of P and of R: keep both transposed, so that a
+        # batch gathers contiguous rows
+        self._pt = _frozen(np.ascontiguousarray(transition.T))
+        self._rt = _frozen(np.ascontiguousarray(reward.T))
+
+    @property
+    def reward(self):
+        """R, a read-only view of the transposed copy the evaluators read."""
+        return self._rt.T
 
     def inner_value_batch(self, js, x):
         s = self.n_states
         out = np.empty((len(js), 2 * s))
         out[:, :s] = x
         out[:, s:] = (
-            s * self.transition[:, js] * (self.reward[:, js] + self.gamma * x[js])
-        ).T
+            s * self._pt.take(js, axis=0)
+            * (self._rt.take(js, axis=0) + self.gamma * x[js][:, None])
+        )
         return out
 
     def inner_jacobian_batch(self, js, x):
         s = self.n_states
         out = np.zeros((len(js), 2 * s, s))
         out[:, :s, :] = self._eye
-        out[np.arange(len(js)), s:, js] = self.gamma * s * self.transition[:, js].T
+        out[np.arange(len(js)), s:, js] = self.gamma * s * self._pt.take(js, axis=0)
         return out
 
     def inner_vjp_batch(self, js, x, u):
         # J_j^T u = u[:S] plus, at entry j, gamma S P[:, j] . u[S:]
         s = self.n_states
-        out = np.tile(u[:s], (len(js), 1))
-        out[np.arange(len(js)), js] += self.gamma * s * (u[s:] @ self.transition[:, js])
+        out = np.empty((len(js), s))
+        out[:] = u[:s]
+        out[np.arange(len(js)), js] += self.gamma * s * (self._pt.take(js, axis=0) @ u[s:])
         return out
 
     def outer_value_batch(self, is_, y):
@@ -306,8 +321,15 @@ class PolicyEvalProblem(CompositionProblem):
         return np.concatenate([r, -r])
 
     def mean_inner_vjp(self, jac, v):
+        # P^T v[S:] is the sum of the rows of P weighted by v[S:]. A step's v
+        # has at most b1 nonzeros there, so gather only their rows; a full
+        # pass's dense v takes the one dense product.
         s = self.n_states
-        return v[:s] + self.gamma * (v[s:] @ self.transition)
+        w = v[s:]
+        if np.count_nonzero(w) * _SPARSE_SHARE < s:
+            rows = np.flatnonzero(w)
+            return v[:s] + self.gamma * (w[rows] @ self.transition.take(rows, axis=0))
+        return v[:s] + self.gamma * (w @ self.transition)
 
     def bellman_operator(self, x):
         return self.r_bar + self.gamma * (self.transition @ x)

@@ -29,8 +29,10 @@ def _portfolio():
     )
 
 
-def _policy_eval(gamma=0.9):
-    return problems.PolicyEvalProblem(*problems.gen_mdp(8, 4, RngStream(1)), gamma)
+def _policy_eval(gamma=0.9, n_states=8):
+    return problems.PolicyEvalProblem(
+        *problems.gen_mdp(n_states, 4, RngStream(1)), gamma
+    )
 
 
 def _linquad(n2=8):
@@ -244,6 +246,46 @@ def check_counting_transparency():
     )
 
 
+def check_closed_forms_match_generic():
+    """Every closed-form override equals the base class's generic default,
+    within 1e-13 of the default's largest entry, for every class. The snapshot
+    product is compared on a dense v and on a v with two nonzeros per half:
+    at S = 24 policy evaluation takes its gathered product for the latter."""
+    rng = RngStream(20)
+    js = np.array([1, 0, 1, 2])  # repeated indices included
+    worst, where = 0.0, "none"
+
+    def compare(label, fast, generic):
+        nonlocal worst, where
+        fast, generic = np.asarray(fast), np.asarray(generic)
+        err = math.inf if fast.shape != generic.shape else float(
+            np.max(np.abs(fast - generic)) / np.max(np.abs(generic)))
+        if err > worst or math.isnan(err):  # a NaN stays the worst
+            worst, where = err, label
+
+    base = problems.CompositionProblem
+    for prob in (_portfolio(), _policy_eval(n_states=24), _linquad()):
+        x, y, u = (rng.normal(size=d) for d in (prob.dim_x, prob.dim_y, prob.dim_y))
+        half = prob.dim_y // 2
+        sparse = np.zeros(prob.dim_y)
+        sparse[rng.integers(half, size=2)] = rng.normal(size=2)
+        sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
+        jac = prob.full_inner_jacobian(x)
+        for name, args in (("full_inner_value", (x,)), ("full_inner_jacobian", (x,)),
+                           ("mean_outer_gradient", (y,)), ("inner_vjp_batch", (js, x, u)),
+                           ("mean_inner_vjp", (jac, u)), ("mean_inner_vjp", (jac, sparse))):
+            compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
+                    getattr(base, name)(prob, *args))
+    lasso = _lasso()
+    x = rng.normal(size=lasso.dim_x)
+    for name in ("full_gradient", "objective_f"):
+        compare(f"lasso.{name}", getattr(lasso, name)(x),
+                getattr(problems.FiniteSumProblem, name)(lasso, x))
+    return "closed forms equal the generic defaults", worst <= 1e-13, (
+        f"worst rel = {worst:.1e} ({where}), every class, dense and sparse v"
+    )
+
+
 def check_snapshot_cancellation():
     """At the epoch snapshot each estimator equals its full-batch value."""
     probs = _compositions()
@@ -342,6 +384,7 @@ ALL_CHECKS = (
     check_mdp_generation,
     check_query_exactness,
     check_counting_transparency,
+    check_closed_forms_match_generic,
     check_snapshot_cancellation,
     check_full_batch_degeneration,
     check_determinism,

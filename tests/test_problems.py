@@ -8,8 +8,6 @@ from composolve import verification
 from composolve.numerics import RngStream, central_difference_gradient
 from composolve.problems import (
     _KINDS,
-    CompositionProblem,
-    FiniteSumProblem,
     LassoProblem,
     LinQuadProblem,
     PolicyEvalProblem,
@@ -112,25 +110,8 @@ class TestFullBatchOperations:
             generic = prob.inner_jacobian_batch(np.arange(prob.n2), x).mean(axis=0)
             assert np.allclose(prob.full_inner_jacobian(x), generic,
                                rtol=1e-14, atol=1e-14)
-
-        # and so must every other closed form, within 1e-13 of the largest entry
-        def close(fast, generic):
-            fast, generic = np.asarray(fast), np.asarray(generic)
-            return np.max(np.abs(fast - generic)) <= 1e-13 * np.max(np.abs(generic))
-
-        rng = RngStream(15)
-        for prob in (small_portfolio(), small_policy_eval(), small_linquad(n1=9)):
-            x, y, v = (rng.normal(size=d) for d in (prob.dim_x, prob.dim_y, prob.dim_y))
-            jac = prob.full_inner_jacobian(x)
-            for name, args in (("full_inner_value", (x,)), ("full_inner_jacobian", (x,)),
-                               ("mean_outer_gradient", (y,)), ("mean_inner_vjp", (jac, v))):
-                generic = getattr(CompositionProblem, name)(prob, *args)
-                assert close(getattr(prob, name)(*args), generic), (prob.kind, name)
-        lasso = gen_lasso(20, 5, RngStream(16))
-        x = rng.normal(size=lasso.dim_x)
-        for name in ("objective_f", "full_gradient"):
-            generic = getattr(FiniteSumProblem, name)(lasso, x)
-            assert close(getattr(lasso, name)(x), generic), ("lasso", name)
+        # and so must every other closed form: the check compares them all
+        assert verification.check_closed_forms_match_generic()[1]
 
     # the check covers every class
     @pytest.mark.parametrize(
@@ -217,6 +198,72 @@ class TestPortfolioEmbedding:
     def test_nonpositive_reward_rejected(self):
         with pytest.raises(ValueError):
             PortfolioProblem(np.array([[1.0, -0.1]]))
+
+
+def column_gather_inner_value(prob, js, x):
+    """Policy evaluation's G_j batch gathered as columns of P and R: the
+    reference for the transposed layout the class reads."""
+    s = prob.n_states
+    out = np.empty((len(js), 2 * s))
+    out[:, :s] = x
+    out[:, s:] = (
+        s * prob.transition[:, js] * (prob.reward[:, js] + prob.gamma * x[js])
+    ).T
+    return out
+
+
+def column_gather_inner_vjp(prob, js, x, u):
+    """Policy evaluation's J_j^T u batch from columns of P."""
+    s = prob.n_states
+    out = np.tile(u[:s], (len(js), 1))
+    out[np.arange(len(js)), js] += prob.gamma * s * (u[s:] @ prob.transition[:, js])
+    return out
+
+
+class TestPolicyEvalLayout:
+    @pytest.mark.parametrize("n_states", [8, 400])
+    @pytest.mark.parametrize("js", [[5], [3, 0, 3, 5, 3]])  # repeats included
+    def test_row_gathers_equal_column_gathers(self, n_states, js):
+        prob = PolicyEvalProblem(*gen_mdp(n_states, 3, RngStream(2)), 0.9)
+        js = np.array(js)
+        rng = RngStream(20)
+        for _ in range(5):
+            x, u = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_y)
+            assert np.array_equal(prob.inner_value_batch(js, x),
+                                  column_gather_inner_value(prob, js, x))
+            assert np.array_equal(prob.inner_vjp_batch(js, x, u),
+                                  column_gather_inner_vjp(prob, js, x, u))
+
+    def test_snapshot_product_paths(self):
+        # a dense v keeps the one dense product, bitwise; a v with few
+        # nonzeros in its second half reads only their rows of P
+        prob = PolicyEvalProblem(*gen_mdp(400, 3, RngStream(3)), 0.95)
+        s = prob.n_states
+        rng = RngStream(21)
+        jac = prob.full_inner_jacobian(np.zeros(s))
+        dense = rng.normal(size=2 * s)
+        assert np.array_equal(prob.mean_inner_vjp(jac, dense),
+                              dense[:s] + prob.gamma * (dense[s:] @ prob.transition))
+        for k in (0, 1, 5, s // 8 - 1):
+            v = np.zeros(2 * s)
+            v[:s] = rng.normal(size=s)
+            v[s + rng.integers(s, size=k)] = rng.normal(size=k)
+            want = jac.T @ v
+            got = prob.mean_inner_vjp(jac, v)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+    def test_serialized_fields_are_the_inputs(self):
+        p, r = gen_mdp(7, 3, RngStream(4))
+        doc = problem_to_dict(PolicyEvalProblem(p, r, 0.9))
+        assert doc["transition"] == p.ravel().tolist()
+        assert doc["reward"] == r.ravel().tolist()
+        assert doc["dims"] == {"S": 7}
+
+    def test_reward_read_only(self):
+        prob = small_policy_eval()
+        assert np.array_equal(prob.reward, gen_mdp(6, 3, RngStream(2))[1])
+        with pytest.raises(ValueError):
+            prob.reward[0, 1] = 2.0
 
 
 class TestPolicyEvalEmbedding:

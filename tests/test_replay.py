@@ -1,0 +1,56 @@
+import copy
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+spec = importlib.util.spec_from_file_location("replay", TOOL)
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+
+FIELDS = ["epoch", "inner_iter", "q_inner_val", "q_inner_jac", "q_outer_grad",
+          "objective", "gap", "grad_map_sq", "composite_grad_sq"]
+
+
+def fingerprints():
+    def call(name, solver, x, rows):
+        return {"call": name, "solver": solver, "n_iters": 2, "queries": [8, 8, 4],
+                "diverged": None, "x_sha": str(x), "x_final": x, "rows": rows}
+
+    rows = [[0, 0, 0, 0, 0, 2.0, float("nan"), 1.0, 1.0],
+            [0, 2, 8, 8, 4, 1.5, float("nan"), 0.5, 0.25]]
+    return {"fields": FIELDS, "calls": [
+        call("a #0 scpg_baseline", "scpg_baseline", [1.0, -2.0], copy.deepcopy(rows)),
+        call("a #1 vrsc_pg", "vrsc_pg", [0.5, 4.0], copy.deepcopy(rows)),
+    ]}
+
+
+def test_identical_fingerprints_are_bitwise_equal():
+    report = replay.diff(fingerprints(), fingerprints(), 0.0)
+    assert report["within_bound"] and report["first_difference"] is None
+    assert report["largest"]["rel"] == 0.0  # NaN gaps match NaN gaps
+
+
+def test_names_first_difference_and_largest_change():
+    a, b = fingerprints(), fingerprints()
+    b["calls"][1]["rows"][1][5] = 1.5 + 2.0**-52
+    b["calls"][1]["x_final"] = [0.5, 4.0 + 2.0**-50]  # one unit in the last place
+    b["calls"][1]["x_sha"] = "moved"
+    report = replay.diff(a, b, 0.0)
+    assert not report["within_bound"]
+    assert report["first_difference"]["call"] == "a #1 vrsc_pg"
+    assert report["first_difference"]["field"] == "x_final"
+    assert report["largest"]["field"] == "x_final"
+    assert report["largest"]["rel"] == 2.0**-52  # relative to max |x|
+    assert report["per_solver"] == {"scpg_baseline": 0.0, "vrsc_pg": report["largest"]["rel"]}
+    assert replay.diff(a, b, 1e-13)["within_bound"]
+
+
+def test_counts_must_match_exactly():
+    for mutate in (lambda c: c["queries"].__setitem__(0, 9),
+                   lambda c: c["rows"][1].__setitem__(1, 3),
+                   lambda c: c["rows"].pop()):
+        b = fingerprints()
+        mutate(b["calls"][0])
+        report = replay.diff(fingerprints(), b, 1.0)
+        assert report["structure"].startswith("a #0 scpg_baseline")
+        assert not report["within_bound"]

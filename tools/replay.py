@@ -1,0 +1,192 @@
+"""Fingerprint every solver call of one benchmark round, or diff two fingerprints.
+
+    python tools/replay.py --out fp.json [--root CHECKOUT]
+    python tools/replay.py --diff a.json b.json [--bound 1e-13]
+
+`--out` runs, in one process, one round of each workload that
+perfbench/workloads.py defines (the pool seeds that workload seed 0
+visits first), then three edge runs on a small policy-evaluation
+instance: a `tol` stop, a query budget that ends an epoch midway, and a
+divergence. Every call of the solvers' shared loop (`solvers._drive`),
+the step-size sweeps' trials and reference solves included, gives one
+fingerprint: the sha256 of x_final, the iteration count, the query
+triple, and every trace field but wall_ms, with the values, so that a
+diff can size a change. A diverged call gives its finite rows and the
+queries spent. `--root` runs another checkout's src/ and perfbench/
+instead of this one's, so that a change can be set against its parent.
+
+`--diff` prints, as JSON, the first call and field that differ and the
+largest relative change, overall and per solver: |a - b| / |a| for a row
+value, max |a - b| / max |a| for x_final. It exits 1 when the calls,
+iteration counts, query triples, divergence or row counts differ, or
+when a value moves by more than --bound (default 0, bitwise).
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Trace fields that must match exactly; the others are floats, compared
+# by relative change.
+EXACT_FIELDS = ("epoch", "inner_iter", "q_inner_val", "q_inner_jac", "q_outer_grad")
+
+
+def record(root):
+    """The fingerprint document of every solver call, run from root's sources."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
+    import workloads
+    from composolve import metrics, problems, regularizers, solvers
+    from composolve.numerics import RngStream
+
+    fields = [f for f in metrics.CSV_COLUMNS if f != "wall_ms"]
+    calls, counter_of_run, stage = [], [None], ["start"]
+    drive, counted = solvers._drive, solvers.counted
+
+    def fingerprint(solver, x, rows, counter, n_iters, diverged):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        calls.append({
+            "call": f"{stage[0]} #{len(calls)} {solver}",
+            "solver": solver,
+            "n_iters": n_iters,
+            "queries": list(counter.snapshot()),
+            "diverged": diverged,
+            "x_sha": hashlib.sha256(x.tobytes()).hexdigest(),
+            "x_final": x.tolist(),
+            "rows": [[getattr(r, f) for f in fields] for r in rows],
+        })
+
+    def counting(problem):
+        cp, counter_of_run[0] = counted(problem)
+        return cp, counter_of_run[0]
+
+    def fingerprinted(*args, **kwargs):
+        solver = sys._getframe(1).f_code.co_name  # the solver whose loop this is
+        try:
+            res = drive(*args, **kwargs)
+        except metrics.DivergedError as err:
+            fingerprint(solver, err.x_last, err.trace, counter_of_run[0], None, str(err))
+            raise
+        fingerprint(solver, res.x_final, res.trace, res.counter, res.n_iters, None)
+        return res
+
+    solvers._drive, solvers.counted = fingerprinted, counting
+    try:
+        for name, wl in workloads.WORKLOADS.items():
+            stage[0] = f"{name}/setup"
+            state = wl.setup()
+            stage[0] = f"{name}/round"
+            with tempfile.TemporaryDirectory() as tmp:
+                wl.round(state, workloads.seed_order(0)[: wl.seeds_per_round], Path(tmp))
+
+        # at S = 50 a step's snapshot product reads the b1 = 5 gathered rows
+        prob = problems.PolicyEvalProblem(*problems.gen_mdp(50, 4, RngStream(7)), 0.5)
+        reg = regularizers.L1Penalty(1e-3)
+        stage[0] = "edge/tol"
+        res = solvers.prox_full_gradient(prob, reg, eta=1.0, iters=10**5, tol=1e-10,
+                                         trace_stride=7)
+        if res.n_iters == 10**5:
+            raise RuntimeError("the tol run must stop on its tolerance")
+        stage[0] = "edge/budget"  # epochs of 50 + 2 * 50 + 40 * 30 queries
+        cfg = solvers.VrscpgConfig(eta=0.5, m=40, S_epochs=10, A=5, B=5, b1=5, seed=3)
+        solvers.vrsc_pg(prob, reg, cfg, trace_stride=9, budget_queries=2000)
+        stage[0] = "edge/diverge"
+        try:
+            solvers.vrsc_pg(prob, reg, dataclasses.replace(cfg, eta=1e4), trace_stride=3)
+        except metrics.DivergedError:
+            pass
+        else:
+            raise RuntimeError("the divergence run must diverge")
+    finally:
+        solvers._drive, solvers.counted = drive, counted
+    return {"fields": fields, "calls": calls}
+
+
+def _rel(a, b):
+    """Relative change from a to b; NaN against NaN is no change."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / abs(a) if a else math.inf
+
+
+def _rel_vec(xa, xb):
+    """Largest change from xa to xb, relative to xa's largest entry."""
+    change = max(abs(a - b) for a, b in zip(xa, xb))
+    scale = max(map(abs, xa))
+    return change / scale if math.isfinite(change) and scale else math.inf
+
+
+def diff(doc_a, doc_b, bound):
+    """The comparison report of two fingerprint documents."""
+    report = {"calls": len(doc_a["calls"]), "structure": None, "first_difference": None,
+              "largest": {"rel": 0.0, "call": None, "field": None}, "per_solver": {}}
+    names_a = [c["call"] for c in doc_a["calls"]]
+    names_b = [c["call"] for c in doc_b["calls"]]
+    if doc_a["fields"] != doc_b["fields"] or names_a != names_b:
+        report["structure"] = "the trace fields or the solver calls differ"
+        report["within_bound"] = False
+        return report
+    fields = doc_a["fields"]
+
+    def note(call, field, a, b, rel):
+        if rel and report["first_difference"] is None:
+            report["first_difference"] = {"call": call["call"], "field": field, "a": a, "b": b}
+        solver = call["solver"]
+        report["per_solver"][solver] = max(report["per_solver"].get(solver, 0.0), rel)
+        if rel > report["largest"]["rel"]:
+            report["largest"] = {"rel": rel, "call": call["call"], "field": field}
+
+    for ca, cb in zip(doc_a["calls"], doc_b["calls"]):
+        for key in ("n_iters", "queries", "diverged"):
+            if ca[key] != cb[key]:
+                report["structure"] = f"{ca['call']}: {key} {ca[key]} != {cb[key]}"
+        if len(ca["rows"]) != len(cb["rows"]) or len(ca["x_final"]) != len(cb["x_final"]):
+            report["structure"] = f"{ca['call']}: row or iterate counts differ"
+        if report["structure"]:
+            report["within_bound"] = False
+            return report
+        same = ca["x_sha"] == cb["x_sha"]
+        note(ca, "x_final", ca["x_sha"], cb["x_sha"],
+             0.0 if same else _rel_vec(ca["x_final"], cb["x_final"]))
+        for i, (ra, rb) in enumerate(zip(ca["rows"], cb["rows"])):
+            for field, a, b in zip(fields, ra, rb):
+                if field in EXACT_FIELDS and a != b:
+                    report["structure"] = f"{ca['call']}: rows[{i}].{field} {a} != {b}"
+                    report["within_bound"] = False
+                    return report
+                note(ca, f"rows[{i}].{field}", a, b, _rel(a, b))
+    report["within_bound"] = report["largest"]["rel"] <= bound
+    return report
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write the fingerprints here")
+    mode.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="the checkout whose src/ and perfbench/ --out runs")
+    parser.add_argument("--bound", type=float, default=0.0,
+                        help="largest relative change --diff accepts")
+    args = parser.parse_args(argv)
+    if args.out:
+        doc = record(args.root.resolve())
+        args.out.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        n_div = sum(c["diverged"] is not None for c in doc["calls"])
+        print(f"wrote {len(doc['calls'])} fingerprints ({n_div} diverged) to {args.out}")
+        return 0
+    docs = [json.loads(p.read_text(encoding="utf-8")) for p in args.diff]
+    report = diff(*docs, args.bound)
+    print(json.dumps(report, indent=1))
+    return 0 if report["within_bound"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
