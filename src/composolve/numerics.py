@@ -29,9 +29,15 @@ class RngStream:
         return self._gen.uniform(size=size)
 
 
+def read_only(a):
+    """a, made read-only in place: for arrays that an object owns and shares."""
+    a.setflags(write=False)
+    return a
+
+
 def as_vector(x, name="x"):
-    """Validate and return a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
+    """A validated finite 1-D float64 read-only copy of x."""
+    v = read_only(np.array(x, dtype=np.float64))
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -40,8 +46,8 @@ def as_vector(x, name="x"):
 
 
 def as_matrix(a, name="a", rows=None, cols=None):
-    """Validate and return a finite 2-D float64 array, optionally shape-checked."""
-    m = np.asarray(a, dtype=np.float64)
+    """A validated finite 2-D float64 read-only copy of a, optionally shape-checked."""
+    m = read_only(np.array(a, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if rows is not None and m.shape[0] != rows:

@@ -38,13 +38,6 @@ class QueryCounter:
             self.outer_gradient_queries,
         )
 
-    def __repr__(self):
-        return (
-            f"QueryCounter(inner_value={self.inner_value_queries}, "
-            f"inner_jacobian={self.inner_jacobian_queries}, "
-            f"outer_gradient={self.outer_gradient_queries})"
-        )
-
 
 class CountedCompositionProblem(CompositionProblem):
     """Delegating wrapper that counts every per-index evaluator call.

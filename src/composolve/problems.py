@@ -19,6 +19,10 @@ default built from them, which a subclass may override with a closed form
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
   returned.
 
+The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
+dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
+Qbar in the shipped classes. Problems keep read-only copies of their inputs.
+
 The full pass, and so the full gradient, the epoch snapshot and every
 trace row, is built from these hooks.
 """
@@ -27,7 +31,7 @@ import json
 
 import numpy as np
 
-from .numerics import RngStream, as_matrix, as_vector
+from .numerics import RngStream, as_matrix, as_vector, read_only
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
@@ -36,12 +40,6 @@ _JACOBIAN_CHUNK = 64
 # they are fewer than S / _SPARSE_SHARE; at S = 400 (1 BLAS thread) the
 # gathered product breaks even with the dense one near S / 4.
 _SPARSE_SHARE = 8
-
-
-def _frozen(a):
-    """a, made read-only: a constant shared by every call that returns it."""
-    a.setflags(write=False)
-    return a
 
 
 class CompositionProblem:
@@ -98,7 +96,9 @@ class CompositionProblem:
         return vals.mean(axis=0)
 
     def full_inner_jacobian(self, x):
-        """Mean inner Jacobian at x; costs n2 inner-Jacobian queries."""
+        """Mean inner Jacobian at x, in the form `mean_inner_vjp` takes: the
+        dense (M, N) matrix here, or a class's read-only operator data; costs
+        n2 inner-Jacobian queries."""
         x = self._check_x(x)
         total = np.zeros((self.dim_y, self.dim_x))
         for start in range(0, self.n2, _JACOBIAN_CHUNK):
@@ -163,10 +163,7 @@ class PortfolioProblem(CompositionProblem):
         self.n1 = self.n2 = n
         self.dim_x = dim
         self.dim_y = dim + 1
-        self.r_bar = rewards.mean(axis=0)
-        # every inner Jacobian is (I; r_j), so the mean is the constant (I; r_bar)
-        self._mean_jac = _frozen(np.vstack([np.eye(dim), self.r_bar]))
-        self._eye = self._mean_jac[:dim]
+        self.r_bar = read_only(rewards.mean(axis=0))
 
     # The evaluators gather reward rows with take, which costs a third of
     # fancy indexing on the one- to five-index batches of a solver step.
@@ -178,7 +175,7 @@ class PortfolioProblem(CompositionProblem):
 
     def inner_jacobian_batch(self, js, x):
         out = np.zeros((len(js), self.dim_y, self.dim_x))
-        out[:, : self.dim_x, :] = self._eye
+        out[:, np.arange(self.dim_x), np.arange(self.dim_x)] = 1.0
         out[:, self.dim_x, :] = self.rewards.take(js, axis=0)
         return out
 
@@ -209,14 +206,14 @@ class PortfolioProblem(CompositionProblem):
 
     def full_inner_jacobian(self, x):
         self._check_x(x)
-        return self._mean_jac
+        return self.r_bar
 
     def mean_outer_gradient(self, y):
         t = 2.0 * (self.rewards @ y[: self.dim_x] - y[self.dim_x])
         return np.append((t - 1.0) @ self.rewards / self.n1, -t.mean())
 
     def mean_inner_vjp(self, jac, v):
-        return v[: self.dim_x] + v[self.dim_x] * self.r_bar
+        return v[: self.dim_x] + v[self.dim_x] * jac
 
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""
@@ -253,15 +250,12 @@ class PolicyEvalProblem(CompositionProblem):
         self.n1 = self.n2 = s
         self.dim_x = s
         self.dim_y = 2 * s
-        # every inner Jacobian is I on top, so the mean is the constant (I; gamma P)
-        self._mean_jac = _frozen(np.vstack([np.eye(s), self.gamma * transition]))
-        self._eye = self._mean_jac[:s]
         # expected one-step reward per state
-        self.r_bar = (transition * reward).sum(axis=1)
+        self.r_bar = read_only((transition * reward).sum(axis=1))
         # G_j reads column j of P and of R: keep both transposed, so that a
         # batch gathers contiguous rows
-        self._pt = _frozen(np.ascontiguousarray(transition.T))
-        self._rt = _frozen(np.ascontiguousarray(reward.T))
+        self._pt = read_only(np.ascontiguousarray(transition.T))
+        self._rt = read_only(np.ascontiguousarray(reward.T))
 
     @property
     def reward(self):
@@ -281,7 +275,7 @@ class PolicyEvalProblem(CompositionProblem):
     def inner_jacobian_batch(self, js, x):
         s = self.n_states
         out = np.zeros((len(js), 2 * s, s))
-        out[:, :s, :] = self._eye
+        out[:, np.arange(s), np.arange(s)] = 1.0
         out[np.arange(len(js)), s:, js] = self.gamma * s * self._pt.take(js, axis=0)
         return out
 
@@ -313,7 +307,7 @@ class PolicyEvalProblem(CompositionProblem):
 
     def full_inner_jacobian(self, x):
         self._check_x(x)
-        return self._mean_jac
+        return self.transition
 
     def mean_outer_gradient(self, y):
         s = self.n_states
@@ -321,15 +315,15 @@ class PolicyEvalProblem(CompositionProblem):
         return np.concatenate([r, -r])
 
     def mean_inner_vjp(self, jac, v):
-        # P^T v[S:] is the sum of the rows of P weighted by v[S:]. A step's v
-        # has at most b1 nonzeros there, so gather only their rows; a full
-        # pass's dense v takes the one dense product.
+        # jac is P. P^T v[S:] is the sum of the rows of P weighted by v[S:].
+        # A step's v has at most b1 nonzeros there, so gather only their
+        # rows; a full pass's dense v takes the one dense product.
         s = self.n_states
         w = v[s:]
         if np.count_nonzero(w) * _SPARSE_SHARE < s:
             rows = np.flatnonzero(w)
-            return v[:s] + self.gamma * (w[rows] @ self.transition.take(rows, axis=0))
-        return v[:s] + self.gamma * (w @ self.transition)
+            return v[:s] + self.gamma * (w[rows] @ jac.take(rows, axis=0))
+        return v[:s] + self.gamma * (w @ jac)
 
     def bellman_operator(self, x):
         return self.r_bar + self.gamma * (self.transition @ x)
@@ -356,9 +350,9 @@ class LinQuadProblem(CompositionProblem):
     kind = "linquad"
 
     def __init__(self, q_mats, c_vecs, b_vecs):
-        q_mats = np.asarray(q_mats, dtype=np.float64)
-        c_vecs = np.asarray(c_vecs, dtype=np.float64)
-        b_vecs = np.asarray(b_vecs, dtype=np.float64)
+        q_mats, c_vecs, b_vecs = (
+            read_only(np.array(a, dtype=np.float64)) for a in (q_mats, c_vecs, b_vecs)
+        )
         if q_mats.ndim != 3 or c_vecs.ndim != 2 or b_vecs.ndim != 2:
             raise ValueError("expected stacked Q (n2,M,N), c (n2,M), b (n1,M)")
         n2, dim_y, dim_x = q_mats.shape
@@ -376,9 +370,9 @@ class LinQuadProblem(CompositionProblem):
         self.n2 = n2
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.q_bar = q_mats.mean(axis=0)
-        self.c_bar = c_vecs.mean(axis=0)
-        self.b_bar = b_vecs.mean(axis=0)
+        self.q_bar = read_only(q_mats.mean(axis=0))
+        self.c_bar = read_only(c_vecs.mean(axis=0))
+        self.b_bar = read_only(b_vecs.mean(axis=0))
 
     def inner_value_batch(self, js, x):
         return self.q_mats[js] @ x + self.c_vecs[js]
@@ -402,7 +396,7 @@ class LinQuadProblem(CompositionProblem):
 
     def full_inner_jacobian(self, x):
         self._check_x(x)
-        return self.q_bar.copy()
+        return self.q_bar
 
     def mean_outer_gradient(self, y):
         return y - self.b_bar

@@ -3,9 +3,10 @@
 The main solver keeps an epoch snapshot of the inner value, inner
 Jacobian, and composite gradient, and corrects minibatch estimates with
 snapshot differences so their variance vanishes as iterates approach the
-snapshot. Baselines: a two-timescale stochastic compositional gradient
-method with decaying steps, proximal SVRG for plain finite sums, and a
-deterministic proximal full-gradient reference.
+snapshot; each such estimate, proximal SVRG's too, is one call of
+`_snapshot_corrected`. Baselines: a two-timescale stochastic compositional
+gradient method with decaying steps, proximal SVRG for plain finite sums,
+and a deterministic proximal full-gradient reference.
 
 Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
@@ -75,7 +76,8 @@ class VrscpgConfig:
 
 @dataclass
 class Snapshot:
-    """Epoch reference point with its full inner value, Jacobian, and gradient."""
+    """Epoch reference point with its full inner value, Jacobian, and gradient;
+    J_s is what `full_inner_jacobian` returned, dense or a class's operator data."""
 
     x_tilde: np.ndarray
     G_s: np.ndarray
@@ -99,26 +101,29 @@ def compute_snapshot(problem, x_tilde):
 # -- snapshot-corrected estimators --------------------------------------------
 
 
+def _snapshot_corrected(at_snapshot, batch, x_tilde, x, js):
+    """at_snapshot - mean_j (batch(j, x_tilde) - batch(j, x)); 2 len(js) queries."""
+    if len(js) == 0:
+        raise ValueError("index set must be nonempty")
+    return at_snapshot - (batch(js, x_tilde) - batch(js, x)).sum(axis=0) / len(js)
+
+
 def estimate_inner_value(snap, problem, x, a_indices):
     """Inner-value estimate G^s - mean_j (G_j(x_tilde) - G_j(x)); 2A queries."""
-    if len(a_indices) == 0:
-        raise ValueError("index set must be nonempty")
-    at_ref = problem.inner_value_batch(a_indices, snap.x_tilde)
-    at_x = problem.inner_value_batch(a_indices, x)
-    return snap.G_s - (at_ref - at_x).sum(axis=0) / len(a_indices)
+    return _snapshot_corrected(snap.G_s, problem.inner_value_batch, snap.x_tilde, x,
+                               a_indices)
 
 
 def estimate_inner_jacobian(snap, problem, x, b_indices):
     """Inner-Jacobian estimate with the same snapshot correction; 2B queries.
 
-    The dense reference form: the solvers use only its product with an outer
-    gradient, which `estimate_gradient_vt` forms without building it.
+    The dense reference form, for a dense J_s: the solvers use only its product
+    with an outer gradient, which `estimate_gradient_vt` forms without it.
     """
-    if len(b_indices) == 0:
-        raise ValueError("index set must be nonempty")
-    at_ref = problem.inner_jacobian_batch(b_indices, snap.x_tilde)
-    at_x = problem.inner_jacobian_batch(b_indices, x)
-    return snap.J_s - (at_ref - at_x).sum(axis=0) / len(b_indices)
+    if np.shape(snap.J_s) != (problem.dim_y, problem.dim_x):
+        raise ValueError("estimate_inner_jacobian needs a dense J_s")
+    return _snapshot_corrected(snap.J_s, problem.inner_jacobian_batch, snap.x_tilde, x,
+                               b_indices)
 
 
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
@@ -132,15 +137,15 @@ def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     and no Jacobian built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde)
     exactly.
     """
-    if len(b_indices) == 0 or len(i_indices) == 0:
-        raise ValueError("index set must be nonempty")
     b1 = len(i_indices)
+    if b1 == 0:
+        raise ValueError("index set must be nonempty")
     u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / b1
     u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / b1
-    at_ref = problem.inner_vjp_batch(b_indices, snap.x_tilde, u)
-    at_x = problem.inner_vjp_batch(b_indices, x, u)
-    return (problem.mean_inner_vjp(snap.J_s, u - u_s)
-            - (at_ref - at_x).sum(axis=0) / len(b_indices) + snap.grad_f_s)
+    return _snapshot_corrected(
+        problem.mean_inner_vjp(snap.J_s, u - u_s),
+        lambda js, z: problem.inner_vjp_batch(js, z, u), snap.x_tilde, x, b_indices,
+    ) + snap.grad_f_s
 
 
 # -- solvers ------------------------------------------------------------------
@@ -301,8 +306,8 @@ def prox_svrg(
 ):
     """Proximal SVRG for plain finite sums.
 
-    Each epoch computes the full gradient at the snapshot, then m inner
-    steps with the corrected estimate grad f_i(x) - grad f_i(x_tilde) + f'.
+    Each epoch computes the full gradient f' at the snapshot, then m inner
+    steps with the corrected estimate f' - (grad f_i(x_tilde) - grad f_i(x)).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -319,11 +324,7 @@ def prox_svrg(
                 if not room():
                     return
                 (i,) = next(draws)
-                v_t = (
-                    cp.comp_gradient_batch(i, x)[0]
-                    - cp.comp_gradient_batch(i, x_tilde)[0]
-                    + f_prime
-                )
+                v_t = _snapshot_corrected(f_prime, cp.comp_gradient_batch, x_tilde, x, i)
                 x = reg.prox(x - eta * v_t, eta)
                 yield s, t + 1, x
 

@@ -248,9 +248,10 @@ def check_counting_transparency():
 
 def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
-    within 1e-13 of the default's largest entry, for every class. The snapshot
-    product is compared on a dense v and on a v with two nonzeros per half:
-    at S = 24 policy evaluation takes its gathered product for the latter."""
+    within 1e-13 of the default's largest entry, for every class. The mean
+    Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
+    to a dense v, to a v with two nonzeros per half (at S = 24 policy
+    evaluation gathers for it) and to every unit vector, against the dense mean."""
     rng = RngStream(20)
     js = np.array([1, 0, 1, 2])  # repeated indices included
     worst, where = 0.0, "none"
@@ -270,36 +271,40 @@ def check_closed_forms_match_generic():
         sparse = np.zeros(prob.dim_y)
         sparse[rng.integers(half, size=2)] = rng.normal(size=2)
         sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
-        jac = prob.full_inner_jacobian(x)
-        for name, args in (("full_inner_value", (x,)), ("full_inner_jacobian", (x,)),
-                           ("mean_outer_gradient", (y,)), ("inner_vjp_batch", (js, x, u)),
-                           ("mean_inner_vjp", (jac, u)), ("mean_inner_vjp", (jac, sparse))):
+        for name, args in (("full_inner_value", (x,)), ("mean_outer_gradient", (y,)),
+                           ("inner_vjp_batch", (js, x, u))):
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
+        jac, dense = prob.full_inner_jacobian(x), base.full_inner_jacobian(prob, x)
+        for v in (u, sparse, *np.eye(prob.dim_y)):
+            compare(f"{prob.kind}.full_inner_jacobian", prob.mean_inner_vjp(jac, v),
+                    dense.T @ v)
     lasso = _lasso()
     x = rng.normal(size=lasso.dim_x)
     for name in ("full_gradient", "objective_f"):
         compare(f"lasso.{name}", getattr(lasso, name)(x),
                 getattr(problems.FiniteSumProblem, name)(lasso, x))
     return "closed forms equal the generic defaults", worst <= 1e-13, (
-        f"worst rel = {worst:.1e} ({where}), every class, dense and sparse v"
+        f"worst rel = {worst:.1e} ({where}), every class; dense, sparse and unit v"
     )
 
 
 def check_snapshot_cancellation():
-    """At the epoch snapshot each estimator equals its full-batch value."""
-    probs = _compositions()
+    """At the epoch snapshot each estimator equals its full-batch value; the
+    dense Jacobian estimate on the generic view, whose J_s is dense."""
+    probs = [(prob, _generic_view(prob)) for prob in _compositions()]
     rng = RngStream(18)
     exact = True
     for trial in range(99):
-        prob = probs[trial % len(probs)]
+        prob, view = probs[trial % len(probs)]
         x = rng.normal(size=prob.dim_x)
         snap = solvers.compute_snapshot(prob, x)
         a = sample_with_replacement(rng, prob.n2, 4)
         b = sample_with_replacement(rng, prob.n2, 3)
         i = sample_with_replacement(rng, prob.n1, 5)
         exact &= np.array_equal(solvers.estimate_inner_value(snap, prob, x, a), snap.G_s)
-        exact &= np.array_equal(solvers.estimate_inner_jacobian(snap, prob, x, b), snap.J_s)
+        dense = solvers.compute_snapshot(view, x)
+        exact &= np.array_equal(solvers.estimate_inner_jacobian(dense, view, x, b), dense.J_s)
         v = solvers.estimate_gradient_vt(snap, prob, x, snap.G_s, b, i)
         exact &= np.array_equal(v, snap.grad_f_s)
     return "estimators cancel exactly at the snapshot", exact, (

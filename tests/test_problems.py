@@ -8,6 +8,8 @@ from composolve import verification
 from composolve.numerics import RngStream, central_difference_gradient
 from composolve.problems import (
     _KINDS,
+    CompositionProblem,
+    FiniteSumProblem,
     LassoProblem,
     LinQuadProblem,
     PolicyEvalProblem,
@@ -38,6 +40,13 @@ def small_policy_eval(seed=2, n_states=6, gamma=0.9):
 
 def small_linquad(seed=3, n1=8, n2=8, dim_y=5, dim_x=4):
     return gen_linquad(n1, n2, dim_y, dim_x, RngStream(seed))
+
+
+def dense_mean_jacobian(prob, x):
+    """The mean inner Jacobian at x as a dense (M, N) matrix, read off the
+    class's own operator through its `mean_inner_vjp`, one unit vector per row."""
+    jac = prob.full_inner_jacobian(x)
+    return np.array([prob.mean_inner_vjp(jac, e) for e in np.eye(prob.dim_y)])
 
 
 class TestFullBatchOperations:
@@ -71,7 +80,7 @@ class TestFullBatchOperations:
     def test_jacobian_matches_finite_differences(self, maker):
         prob = maker()
         x = RngStream(12).normal(size=prob.dim_x)
-        jac = prob.full_inner_jacobian(x)
+        jac = dense_mean_jacobian(prob, x)
         for m in range(prob.dim_y):
             fd = central_difference_gradient(
                 lambda t: float(prob.full_inner_value(t)[m]), x
@@ -82,7 +91,7 @@ class TestFullBatchOperations:
 
     def test_portfolio_jacobian_structure(self):
         prob = small_portfolio()
-        jac = prob.full_inner_jacobian(np.zeros(prob.dim_x))
+        jac = dense_mean_jacobian(prob, np.zeros(prob.dim_x))
         assert np.array_equal(jac[: prob.dim_x], np.eye(prob.dim_x))
         assert np.allclose(jac[prob.dim_x], prob.rewards.mean(axis=0))
 
@@ -93,22 +102,22 @@ class TestFullBatchOperations:
         j1 = prob.inner_jacobian_batch(np.arange(prob.n2), rng.normal(size=prob.dim_x))
         assert np.array_equal(j0, j1)
 
-    @pytest.mark.parametrize("maker", [small_portfolio, small_policy_eval])
+    @pytest.mark.parametrize("maker", [small_portfolio, small_policy_eval, small_linquad])
     def test_constant_mean_jacobian_shared_read_only(self, maker):
-        # every full pass returns the one matrix built at construction, so no
-        # caller may write into it
+        # every full pass returns the one operator array the problem owns, so
+        # no caller may write into it
         prob = maker()
         jac = prob.full_inner_jacobian(np.zeros(prob.dim_x))
         assert prob.full_inner_jacobian(np.ones(prob.dim_x)) is jac
         with pytest.raises(ValueError):
-            jac[0, 0] = 2.0
+            jac.flat[0] = 2.0
 
     def test_jacobian_override_matches_generic_loop(self):
         # fast closed-form paths must agree with the per-index definition
         for prob in (small_portfolio(), small_policy_eval(), small_linquad()):
             x = RngStream(14).normal(size=prob.dim_x)
             generic = prob.inner_jacobian_batch(np.arange(prob.n2), x).mean(axis=0)
-            assert np.allclose(prob.full_inner_jacobian(x), generic,
+            assert np.allclose(dense_mean_jacobian(prob, x), generic,
                                rtol=1e-14, atol=1e-14)
         # and so must every other closed form: the check compares them all
         assert verification.check_closed_forms_match_generic()[1]
@@ -144,6 +153,56 @@ class TestFullBatchOperations:
         prob = small_portfolio()
         with pytest.raises(ValueError):
             prob.full_gradient(np.zeros(prob.dim_x + 1))
+
+
+def owned_data_case(kind):
+    """(constructor, writable input arrays) of a small instance of kind."""
+    if kind == "portfolio":
+        return PortfolioProblem, [gen_gaussian_rewards(12, 4, 3.0, RngStream(1))]
+    if kind == "policy_eval":
+        return (lambda p, r: PolicyEvalProblem(p, r, 0.9)), list(gen_mdp(6, 3, RngStream(2)))
+    if kind == "linquad":
+        prob = small_linquad()
+        return LinQuadProblem, [np.array(a) for a in (prob.q_mats, prob.c_vecs, prob.b_vecs)]
+    lasso = gen_lasso(10, 4, RngStream(5))
+    return LassoProblem, [np.array(lasso.design), np.array(lasso.targets)]
+
+
+class TestOwnedData:
+    """A problem keeps read-only copies of its inputs: a caller's later write
+    reaches none of its outputs, and its own arrays cannot be written."""
+
+    @pytest.mark.parametrize("kind", ["portfolio", "policy_eval", "linquad", "lasso"])
+    def test_inputs_copied_and_arrays_read_only(self, kind):
+        make, inputs = owned_data_case(kind)
+        prob = make(*inputs)
+        base = CompositionProblem if isinstance(prob, CompositionProblem) else FiniteSumProblem
+        x = RngStream(30).normal(size=prob.dim_x)
+
+        def outputs():
+            # closed forms and the generic defaults, which read the per-index
+            # evaluators
+            return (prob.objective_f(x), prob.full_gradient(x),
+                    base.objective_f(prob, x), base.full_gradient(prob, x))
+
+        before = outputs()
+        for a in inputs:
+            a *= 3.0
+        for want, got in zip(before, outputs()):
+            assert np.array_equal(want, got)
+        owned = [a for a in vars(prob).values() if isinstance(a, np.ndarray)]
+        assert len(owned) >= len(inputs)
+        for a in owned:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+    def test_policy_eval_holds_no_dense_mean_jacobian(self):
+        # P, its transpose and R's transpose, S x S each, and the S expected
+        # rewards: the mean Jacobian (I; gamma P) is known by P alone
+        s = 40
+        prob = PolicyEvalProblem(*gen_mdp(s, 3, RngStream(7)), 0.95)
+        held = sum(a.nbytes for a in vars(prob).values() if isinstance(a, np.ndarray))
+        assert held == 8 * (3 * s * s + s)
 
 
 # every closed-form transpose-Jacobian product, a nonlinear inner map's, and
@@ -241,6 +300,8 @@ class TestPolicyEvalLayout:
         s = prob.n_states
         rng = RngStream(21)
         jac = prob.full_inner_jacobian(np.zeros(s))
+        # the dense (I; gamma P) that the operator P stands for
+        mean_jac = np.vstack([np.eye(s), prob.gamma * prob.transition])
         dense = rng.normal(size=2 * s)
         assert np.array_equal(prob.mean_inner_vjp(jac, dense),
                               dense[:s] + prob.gamma * (dense[s:] @ prob.transition))
@@ -248,7 +309,7 @@ class TestPolicyEvalLayout:
             v = np.zeros(2 * s)
             v[:s] = rng.normal(size=s)
             v[s + rng.integers(s, size=k)] = rng.normal(size=k)
-            want = jac.T @ v
+            want = mean_jac.T @ v
             got = prob.mean_inner_vjp(jac, v)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
 

@@ -159,7 +159,9 @@ class TestEstimators:
         assert verification.check_snapshot_cancellation()[1]
 
     def test_inner_jacobian_exact_for_affine_maps(self):
-        prob = PortfolioProblem(gen_gaussian_rewards(10, 4, 2.0, RngStream(9)))
+        # the generic view's snapshot holds the dense mean Jacobian
+        prob = verification._generic_view(
+            PortfolioProblem(gen_gaussian_rewards(10, 4, 2.0, RngStream(9))))
         rng = RngStream(10)
         snap = compute_snapshot(prob, rng.normal(size=prob.dim_x))
         x = rng.normal(size=prob.dim_x)
@@ -168,8 +170,19 @@ class TestEstimators:
             estimate_inner_jacobian(snap, prob, x, idx), snap.J_s, atol=1e-14
         )
 
+    def test_dense_reference_needs_dense_snapshot_jacobian(self):
+        # the portfolio's snapshot holds r_bar, shape (N,), which would
+        # broadcast silently against the (M, N) correction
+        prob = PortfolioProblem(gen_gaussian_rewards(10, 4, 2.0, RngStream(9)))
+        x = np.zeros(prob.dim_x)
+        snap = compute_snapshot(prob, x)
+        with pytest.raises(ValueError, match="dense J_s"):
+            estimate_inner_jacobian(snap, prob, x, np.array([0, 1]))
+
     def test_inner_jacobian_empirically_unbiased(self):
-        prob = policy_eval(n_states=5)
+        # tanh inner maps: their Jacobians depend on x, so the estimate has
+        # variance in every entry, where an affine class's has none
+        prob = TanhInnerProblem()
         rng = RngStream(11)
         x_tilde = rng.normal(size=prob.dim_x)
         x = rng.normal(size=prob.dim_x)
@@ -186,6 +199,7 @@ class TestEstimators:
             acc_sq += est * est
         mean = acc / n_rep
         se = np.sqrt(np.maximum(acc_sq / n_rep - mean**2, 0.0) / n_rep)
+        assert np.all(se > 0)
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
 
     def test_gradient_estimate_cancels_at_snapshot(self):
