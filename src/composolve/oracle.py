@@ -46,8 +46,12 @@ class CountedCompositionProblem(CompositionProblem):
     transpose-Jacobian product J_j^T u costs one inner-Jacobian query per
     index. The full-batch means come from the problem's own methods, closed
     forms or generic loops, at their per-index cost: n2 inner values, n2
-    inner Jacobians, or n1 outer gradients. The product with the mean
-    Jacobian reuses what `full_inner_jacobian` paid for and costs nothing.
+    inner Jacobians, or n1 outer gradients. So do the minibatch means of a
+    variance-reduced step: a paired difference over js costs 2 len(js)
+    queries of its kind, a mean outer gradient over is_ len(is_), whether
+    the class evaluates them or, as for the zero Jacobian correction of an
+    affine class, not. The product with the mean Jacobian reuses what
+    `full_inner_jacobian` paid for and costs nothing.
     """
 
     def __init__(self, problem):
@@ -91,6 +95,18 @@ class CountedCompositionProblem(CompositionProblem):
     def mean_outer_gradient(self, y):
         self.counter.add(outer_gradient=self.n1)
         return self._problem.mean_outer_gradient(y)
+
+    def inner_value_diff_mean(self, js, x_tilde, x):
+        self.counter.add(inner_value=2 * len(js))
+        return self._problem.inner_value_diff_mean(js, x_tilde, x)
+
+    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
+        self.counter.add(inner_jacobian=2 * len(js))
+        return self._problem.inner_vjp_diff_mean(js, x_tilde, x, u)
+
+    def outer_gradient_mean(self, is_, y):
+        self.counter.add(outer_gradient=len(is_))
+        return self._problem.outer_gradient_mean(is_, y)
 
 
 class CountedFiniteSumProblem(FiniteSumProblem):

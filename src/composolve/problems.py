@@ -17,14 +17,19 @@ default built from them, which a subclass may override with a closed form
 - `full_inner_value(x)`, `full_inner_jacobian(x)` and
   `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
-  returned.
+  returned;
+- `inner_value_diff_mean(js, x_tilde, x)`, `inner_vjp_diff_mean(js, x_tilde,
+  x, u)` and `outer_gradient_mean(is_, y)`: the minibatch means a
+  variance-reduced step takes, the first two of paired differences
+  (`paired_diff_mean`).
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
 Qbar in the shipped classes. Problems keep read-only copies of their inputs.
 
 The full pass, and so the full gradient, the epoch snapshot and every
-trace row, is built from these hooks.
+trace row, is built from these hooks. Inner maps that are affine in x
+(`AffineInnerProblem`) have a zero Jacobian correction.
 """
 
 import json
@@ -40,6 +45,12 @@ _JACOBIAN_CHUNK = 64
 # they are fewer than S / _SPARSE_SHARE; at S = 400 (1 BLAS thread) the
 # gathered product breaks even with the dense one near S / 4.
 _SPARSE_SHARE = 8
+
+
+def paired_diff_mean(batch, js, x_tilde, x):
+    """mean_j (batch(j, x_tilde) - batch(j, x)) over js, one axis-0 sum in index
+    order: the snapshot correction of every variance-reduced estimate."""
+    return (batch(js, x_tilde) - batch(js, x)).sum(axis=0) / len(js)
 
 
 class CompositionProblem:
@@ -115,6 +126,22 @@ class CompositionProblem:
         no queries."""
         return jac.T @ v
 
+    # -- minibatch means of a variance-reduced step -----------------------------
+
+    def inner_value_diff_mean(self, js, x_tilde, x):
+        """mean_j (G_j(x_tilde) - G_j(x)), shape (M,); 2 len(js) inner-value queries."""
+        return paired_diff_mean(self.inner_value_batch, js, x_tilde, x)
+
+    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
+        """mean_j (J_j(x_tilde)^T u - J_j(x)^T u), shape (N,); 2 len(js)
+        inner-Jacobian queries."""
+        return paired_diff_mean(lambda js, z: self.inner_vjp_batch(js, z, u),
+                                js, x_tilde, x)
+
+    def outer_gradient_mean(self, is_, y):
+        """mean_i grad F_i(y) over is_, shape (M,); len(is_) outer-gradient queries."""
+        return self.outer_gradient_batch(is_, y).sum(axis=0) / len(is_)
+
     def full_pass(self, x):
         """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries.
 
@@ -141,7 +168,19 @@ class CompositionProblem:
         return self._outer_mean(g_bar), grad
 
 
-class PortfolioProblem(CompositionProblem):
+class AffineInnerProblem(CompositionProblem):
+    """A composition problem whose inner maps are affine in x.
+
+    J_j does not depend on x, so the Jacobian correction is zero. The class's
+    `inner_vjp_batch` must not read x: the generic difference of two equal
+    products is then exactly zero too, and the closed form changes no bit.
+    """
+
+    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
+        return np.zeros(self.dim_x)
+
+
+class PortfolioProblem(AffineInnerProblem):
     """Mean-variance portfolio objective as a two-level composition.
 
     With per-period rewards r_1..r_n the objective is
@@ -221,7 +260,7 @@ class PortfolioProblem(CompositionProblem):
         return float(-d.mean() + ((d - d.mean()) ** 2).mean())
 
 
-class PolicyEvalProblem(CompositionProblem):
+class PolicyEvalProblem(AffineInnerProblem):
     """Tabular policy evaluation as a composition of Bellman residuals.
 
     The decision variable is the value table V in R^S. The inner index j
@@ -301,6 +340,27 @@ class PolicyEvalProblem(CompositionProblem):
         out[rows, s + is_] = -2.0 * r
         return out
 
+    def inner_value_diff_mean(self, js, x_tilde, x):
+        # G_j(x_tilde) - G_j(x) = (d, gamma S d_j P[:, j]) with d = x_tilde - x:
+        # R cancels, so only rows of P^T are read
+        s = self.n_states
+        d = x_tilde - x
+        out = np.empty(2 * s)
+        out[:s] = d
+        out[s:] = (self.gamma * s / len(js)) * (d[js] @ self._pt.take(js, axis=0))
+        return out
+
+    def outer_gradient_mean(self, is_, y):
+        # scatter the len(is_) terms 2 r_i: each entry sums its terms in index
+        # order, as the axis-0 sum of `outer_gradient_batch` does, and the
+        # second half is 0 - the first, bitwise that sum of the negated terms
+        s = self.n_states
+        out = np.empty(2 * s)
+        np.divide(np.bincount(is_, 2.0 * (y[is_] - y[s + is_]), minlength=s), len(is_),
+                  out=out[:s])
+        np.subtract(0.0, out[:s], out=out[s:])
+        return out
+
     def full_inner_value(self, x):
         x = self._check_x(x)
         return np.concatenate([x, self.bellman_operator(x)])
@@ -339,7 +399,7 @@ class PolicyEvalProblem(CompositionProblem):
         return np.linalg.solve(a, self.r_bar)
 
 
-class LinQuadProblem(CompositionProblem):
+class LinQuadProblem(AffineInnerProblem):
     """Affine inner maps with quadratic outer losses; closed-form optimum.
 
     G_j(x) = Q_j x + c_j and F_i(y) = 0.5 ||y - b_i||^2, so the composite

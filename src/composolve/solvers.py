@@ -3,10 +3,15 @@
 The main solver keeps an epoch snapshot of the inner value, inner
 Jacobian, and composite gradient, and corrects minibatch estimates with
 snapshot differences so their variance vanishes as iterates approach the
-snapshot; each such estimate, proximal SVRG's too, is one call of
-`_snapshot_corrected`. Baselines: a two-timescale stochastic compositional
-gradient method with decaying steps, proximal SVRG for plain finite sums,
-and a deterministic proximal full-gradient reference.
+snapshot. Each correction is the minibatch mean of a paired difference
+f_j(x_tilde) - f_j(x): the inner-value and gradient estimates take it, and
+the gradient estimate its mean outer gradients, from one problem hook call
+each, which a class may give in closed form; the dense reference
+`estimate_inner_jacobian` and proximal SVRG's step take it from
+`_snapshot_corrected`, on the same formula (`problems.paired_diff_mean`).
+Baselines: a two-timescale stochastic compositional gradient method with
+decaying steps, proximal SVRG for plain finite sums, and a deterministic
+proximal full-gradient reference.
 
 Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
@@ -29,6 +34,7 @@ import numpy as np
 from .metrics import DivergedError, TraceRecord, TraceRecorder
 from .numerics import RngStream, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
+from .problems import paired_diff_mean
 
 
 class InvalidConfigError(ValueError):
@@ -101,17 +107,20 @@ def compute_snapshot(problem, x_tilde):
 # -- snapshot-corrected estimators --------------------------------------------
 
 
+def _nonempty(indices):
+    if len(indices) == 0:
+        raise ValueError("index set must be nonempty")
+    return indices
+
+
 def _snapshot_corrected(at_snapshot, batch, x_tilde, x, js):
     """at_snapshot - mean_j (batch(j, x_tilde) - batch(j, x)); 2 len(js) queries."""
-    if len(js) == 0:
-        raise ValueError("index set must be nonempty")
-    return at_snapshot - (batch(js, x_tilde) - batch(js, x)).sum(axis=0) / len(js)
+    return at_snapshot - paired_diff_mean(batch, _nonempty(js), x_tilde, x)
 
 
 def estimate_inner_value(snap, problem, x, a_indices):
     """Inner-value estimate G^s - mean_j (G_j(x_tilde) - G_j(x)); 2A queries."""
-    return _snapshot_corrected(snap.G_s, problem.inner_value_batch, snap.x_tilde, x,
-                               a_indices)
+    return snap.G_s - problem.inner_value_diff_mean(_nonempty(a_indices), snap.x_tilde, x)
 
 
 def estimate_inner_jacobian(snap, problem, x, b_indices):
@@ -129,23 +138,20 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     """Composite-gradient estimate from transpose-Jacobian products; 2B + 2 b1 queries.
 
-    With u = mean_i grad F_i(g_hat) and u_s = mean_i grad F_i(G^s) over I, and
-    the Jacobian estimate j_hat of `estimate_inner_jacobian` over B, this is
+    With u = mean_i grad F_i(g_hat) and u_s = mean_i grad F_i(G^s) over I (the
+    problem's `outer_gradient_mean`), and the Jacobian estimate j_hat of
+    `estimate_inner_jacobian` over B, this is
     j_hat^T u - J_s^T u_s + grad f(x_tilde)
       = J_s^T (u - u_s) - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) + grad f(x_tilde):
     one product with the snapshot Jacobian, by the problem's `mean_inner_vjp`,
-    and no Jacobian built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde)
-    exactly.
+    and one `inner_vjp_diff_mean`, zero for affine inner maps; no Jacobian is
+    built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde) exactly.
     """
-    b1 = len(i_indices)
-    if b1 == 0:
-        raise ValueError("index set must be nonempty")
-    u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / b1
-    u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / b1
-    return _snapshot_corrected(
-        problem.mean_inner_vjp(snap.J_s, u - u_s),
-        lambda js, z: problem.inner_vjp_batch(js, z, u), snap.x_tilde, x, b_indices,
-    ) + snap.grad_f_s
+    u = problem.outer_gradient_mean(_nonempty(i_indices), g_hat)
+    u_s = problem.outer_gradient_mean(i_indices, snap.G_s)
+    return (problem.mean_inner_vjp(snap.J_s, u - u_s)
+            - problem.inner_vjp_diff_mean(_nonempty(b_indices), snap.x_tilde, x, u)
+            + snap.grad_f_s)
 
 
 # -- solvers ------------------------------------------------------------------

@@ -226,8 +226,9 @@ def check_counting_transparency():
             same &= same_and_charged(counter, lambda: cp.objective_f(x),
                                      lambda: prob.objective_f(x), (0, 0, 0))
             continue
-        n1, n2 = prob.n1, prob.n2
+        n1, n2, k = prob.n1, prob.n2, len(js)
         y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
+        x_tilde = rng.normal(size=prob.dim_x)
         jac = prob.full_inner_jacobian(x)
         for name, args, charge in (
             ("full_gradient", (x,), (n2, n2, n1)),
@@ -236,19 +237,23 @@ def check_counting_transparency():
             ("full_inner_jacobian", (x,), (0, n2, 0)),
             ("mean_outer_gradient", (y,), (0, 0, n1)),
             ("mean_inner_vjp", (jac, u), (0, 0, 0)),
-            ("inner_vjp_batch", (js, x, u), (0, len(js), 0)),
+            ("inner_vjp_batch", (js, x, u), (0, k, 0)),
+            ("inner_value_diff_mean", (js, x_tilde, x), (2 * k, 0, 0)),
+            ("inner_vjp_diff_mean", (js, x_tilde, x, u), (0, 2 * k, 0)),
+            ("outer_gradient_mean", (js, y), (0, 0, k)),
         ):
             same &= same_and_charged(counter, lambda: getattr(cp, name)(*args),
                                      lambda: getattr(prob, name)(*args), charge)
     return "counting wrapper changes no numbers", same, (
-        "bitwise objective, gradient, full-batch means, J^T u and J_s^T v, "
-        "exact charges, every class and the generic defaults"
+        "bitwise objective, gradient, full-batch and minibatch means, J^T u and "
+        "J_s^T v, exact charges, every class and the generic defaults"
     )
 
 
 def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
-    within 1e-13 of the default's largest entry, for every class. The mean
+    within 1e-13 of the default's largest entry (exactly, where the default
+    is zero), for every class; the paired differences at x != x_tilde. The mean
     Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
     to a dense v, to a v with two nonzeros per half (at S = 24 policy
     evaluation gathers for it) and to every unit vector, against the dense mean."""
@@ -259,20 +264,25 @@ def check_closed_forms_match_generic():
     def compare(label, fast, generic):
         nonlocal worst, where
         fast, generic = np.asarray(fast), np.asarray(generic)
+        scale = max(float(np.max(np.abs(generic))), np.finfo(float).tiny)
         err = math.inf if fast.shape != generic.shape else float(
-            np.max(np.abs(fast - generic)) / np.max(np.abs(generic)))
+            np.max(np.abs(fast - generic)) / scale)
         if err > worst or math.isnan(err):  # a NaN stays the worst
             worst, where = err, label
 
     base = problems.CompositionProblem
     for prob in (_portfolio(), _policy_eval(n_states=24), _linquad()):
-        x, y, u = (rng.normal(size=d) for d in (prob.dim_x, prob.dim_y, prob.dim_y))
+        x, x_tilde, y, u = (rng.normal(size=d)
+                            for d in (prob.dim_x, prob.dim_x, prob.dim_y, prob.dim_y))
         half = prob.dim_y // 2
         sparse = np.zeros(prob.dim_y)
         sparse[rng.integers(half, size=2)] = rng.normal(size=2)
         sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
         for name, args in (("full_inner_value", (x,)), ("mean_outer_gradient", (y,)),
-                           ("inner_vjp_batch", (js, x, u))):
+                           ("inner_vjp_batch", (js, x, u)),
+                           ("inner_value_diff_mean", (js, x_tilde, x)),
+                           ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
+                           ("outer_gradient_mean", (js, y))):
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
         jac, dense = prob.full_inner_jacobian(x), base.full_inner_jacobian(prob, x)

@@ -231,6 +231,44 @@ class TestInnerVjp:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+AFFINE_PROBLEMS = {
+    "portfolio": small_portfolio,
+    "policy_eval": small_policy_eval,
+    "linquad": small_linquad,
+}
+
+
+class TestVjpDiffMean:
+    """The Jacobian correction mean_j (J_j(x_tilde) - J_j(x))^T u of a step."""
+
+    @pytest.mark.parametrize("kind", sorted(AFFINE_PROBLEMS))
+    def test_affine_zero_is_the_generic_default(self, kind):
+        prob = AFFINE_PROBLEMS[kind]()
+        rng = RngStream(24)
+        js = np.array([3, 0, 3, 5, 1, 3])  # repeated indices included
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            u = rng.normal(size=prob.dim_y)
+            got = prob.inner_vjp_diff_mean(js, x_tilde, x, u)
+            want = CompositionProblem.inner_vjp_diff_mean(prob, js, x_tilde, x, u)
+            assert got.shape == (prob.dim_x,)
+            assert np.array_equal(got, want)
+
+    def test_nonlinear_generic_default_nonzero_off_snapshot(self):
+        prob = TanhInnerProblem()
+        rng = RngStream(25)
+        js = np.array([3, 0, 3, 5, 1])
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            u = rng.normal(size=prob.dim_y)
+            got = prob.inner_vjp_diff_mean(js, x_tilde, x, u)
+            jac_diff = (prob.inner_jacobian_batch(js, x_tilde)
+                        - prob.inner_jacobian_batch(js, x)).mean(axis=0)
+            assert np.max(np.abs(got)) > 1e-3
+            assert np.max(np.abs(got - u @ jac_diff)) <= 1e-13 * np.max(np.abs(got))
+            assert not np.any(prob.inner_vjp_diff_mean(js, x_tilde, x_tilde, u))
+
+
 class TestPortfolioEmbedding:
     def test_single_asset_single_period(self):
         prob = PortfolioProblem(np.array([[2.0]]))
@@ -312,6 +350,29 @@ class TestPolicyEvalLayout:
             want = mean_jac.T @ v
             got = prob.mean_inner_vjp(jac, v)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+    @pytest.mark.parametrize("n_states", [8, 400])
+    @pytest.mark.parametrize("is_", [[5], [3, 0, 3, 5, 3]])  # repeats included
+    def test_outer_gradient_mean_equals_batch_sum(self, n_states, is_):
+        prob = PolicyEvalProblem(*gen_mdp(n_states, 3, RngStream(2)), 0.9)
+        is_ = np.array(is_)
+        rng = RngStream(22)
+        for _ in range(5):
+            y = rng.normal(size=prob.dim_y)
+            assert np.array_equal(prob.outer_gradient_mean(is_, y),
+                                  prob.outer_gradient_batch(is_, y).sum(axis=0) / len(is_))
+
+    @pytest.mark.parametrize("js", [[5], [3, 0, 3, 5, 3]])
+    def test_inner_value_diff_mean_near_generic(self, js):
+        # the closed form reads no R and sums in another order: within 1e-13
+        prob = PolicyEvalProblem(*gen_mdp(400, 3, RngStream(3)), 0.95)
+        js = np.array(js)
+        rng = RngStream(23)
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            want = CompositionProblem.inner_value_diff_mean(prob, js, x_tilde, x)
+            got = prob.inner_value_diff_mean(js, x_tilde, x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_serialized_fields_are_the_inputs(self):
         p, r = gen_mdp(7, 3, RngStream(4))

@@ -135,6 +135,22 @@ class TestEstimators:
         got = estimate_inner_value(snap, prob, x, js)
         assert np.allclose(got, expect, atol=1e-14)
 
+    def test_generic_correction_sums_in_index_order(self):
+        # the paired difference of the generic default is one axis-0 sum in
+        # index order, the arithmetic that keeps portfolio and linquad runs
+        # bitwise as they were
+        prob = linquad()
+        rng = RngStream(7)
+        x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x_tilde)
+        js = np.array([3, 0, 3, 5, 1, 2, 4])
+        diffs = prob.inner_value_batch(js, x_tilde) - prob.inner_value_batch(js, x)
+        total = diffs[0]
+        for row in diffs[1:]:
+            total = total + row
+        assert np.array_equal(estimate_inner_value(snap, prob, x, js),
+                              snap.G_s - total / len(js))
+
     def test_inner_value_empirically_unbiased(self):
         prob = policy_eval()
         rng = RngStream(6)
