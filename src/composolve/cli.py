@@ -205,13 +205,13 @@ def cmd_run(config, out_dir):
                      key: spec.get(key)}
             try:
                 res = _run_one(spec, prob, reg, seed, budget, x_star, stride)
-                trace = res.trace
+                trace, counter = res.trace, res.counter
                 entry["diverged"] = False
                 entry["final_gap"] = trace[-1].gap
-                entry["total_queries"] = res.counter.total
             except solvers.DivergedError as err:
-                trace = err.trace
+                trace, counter = err.trace, err.counter
                 entry["diverged"] = True
+            entry["total_queries"] = counter.total
             csv_path = out_dir / f"{label}_seed{seed}.csv"
             write_trace_csv(csv_path, trace)
             entry["trace"] = csv_path.name

@@ -77,12 +77,14 @@ def verify_optimum(problem, reg, x_star, eta):
 
 
 class DivergedError(RuntimeError):
-    """An iterate or its objective stopped being finite; carries the finite trace."""
+    """An iterate or its objective stopped being finite; carries the finite
+    trace, the last iterate and the run's query counter."""
 
-    def __init__(self, message, trace, x_last):
+    def __init__(self, message, trace, x_last, counter):
         super().__init__(message)
         self.trace = trace
         self.x_last = x_last
+        self.counter = counter
 
 
 class TraceRecorder:
@@ -111,7 +113,7 @@ class TraceRecorder:
         f, g = self.problem.objective_and_gradient(x)
         obj = f + self.reg.value(x)
         if not math.isfinite(obj):
-            raise DivergedError("objective is not finite", self.rows, x)
+            raise DivergedError("objective is not finite", self.rows, x, self.counter)
         gap = float("nan") if self._h_star is None else obj - self._h_star
         qv, qj, qo = self.counter.snapshot()
         self.rows.append(

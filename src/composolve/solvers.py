@@ -4,25 +4,26 @@ The main solver keeps an epoch snapshot of the inner value, inner
 Jacobian, and composite gradient, and corrects minibatch estimates with
 snapshot differences so their variance vanishes as iterates approach the
 snapshot. Each correction is the minibatch mean of a paired difference
-f_j(x_tilde) - f_j(x): the inner-value and gradient estimates take it, and
-the gradient estimate its mean outer gradients, from one problem hook call
-each, which a class may give in closed form; the dense reference
-`estimate_inner_jacobian` and proximal SVRG's step take it from
-`_snapshot_corrected`, on the same formula (`problems.paired_diff_mean`).
+f_j(x_tilde) - f_j(x), taken from one problem hook call (which a class may
+give in closed form) or from `problems.paired_diff_mean`.
 Baselines: a two-timescale stochastic compositional gradient method with
 decaying steps, proximal SVRG for plain finite sums, and a deterministic
 proximal full-gradient reference.
 
 Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
-both budgets. The query and wall-clock budgets are checked before every
-full pass and every step, and a full pass is paid only if a step can
-follow it. Each run owns its query counter. A non-finite iterate, or a
-row (the start row too) whose objective the recorder finds non-finite,
-ends the run with `DivergedError`; numpy's overflow warnings are silenced
-inside the loop, since that error reports the divergence. The stochastic
-solvers draw their index sets a block of steps at a time (`_index_sets`),
-which replays bitwise the draws of one stream call per index set.
+both budgets. Every solver passes its remaining keywords on to that loop,
+whose run options (`x0`, `x_star`, `trace_stride`, `budget_queries`,
+`budget_wall_s`) are declared and described there alone. The query and
+wall-clock budgets are checked before every full pass and every step, and
+a full pass is paid only if a step can follow it. Each run owns its query
+counter. A non-finite iterate, or a row (the start row too) whose
+objective the recorder finds non-finite, ends the run with `DivergedError`,
+which carries the finite rows, the last iterate and the run's counter;
+numpy's overflow warnings are silenced inside the loop, since that error
+reports the divergence. The stochastic solvers draw their index sets a
+block of steps at a time (`_index_sets`), which replays bitwise the draws
+of one stream call per index set.
 """
 
 import math
@@ -113,11 +114,6 @@ def _nonempty(indices):
     return indices
 
 
-def _snapshot_corrected(at_snapshot, batch, x_tilde, x, js):
-    """at_snapshot - mean_j (batch(j, x_tilde) - batch(j, x)); 2 len(js) queries."""
-    return at_snapshot - paired_diff_mean(batch, _nonempty(js), x_tilde, x)
-
-
 def estimate_inner_value(snap, problem, x, a_indices):
     """Inner-value estimate G^s - mean_j (G_j(x_tilde) - G_j(x)); 2A queries."""
     return snap.G_s - problem.inner_value_diff_mean(_nonempty(a_indices), snap.x_tilde, x)
@@ -131,8 +127,8 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
     """
     if np.shape(snap.J_s) != (problem.dim_y, problem.dim_x):
         raise ValueError("estimate_inner_jacobian needs a dense J_s")
-    return _snapshot_corrected(snap.J_s, problem.inner_jacobian_batch, snap.x_tilde, x,
-                               b_indices)
+    return snap.J_s - paired_diff_mean(problem.inner_jacobian_batch, _nonempty(b_indices),
+                                       snap.x_tilde, x)
 
 
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
@@ -176,14 +172,23 @@ def _index_sets(rng, groups, steps):
         yield from zip(*np.split(block, cuts, axis=1))
 
 
-def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
-           budget_wall_s, steps):
+def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
+           budget_queries=None, budget_wall_s=None):
     """Shared solver loop around steps(cp, x, room).
 
     steps yields (epoch, inner_iter, x) after each update, and returns when
     room(cost) before a full pass of cost queries, or room() before a step,
     is false. The start point, every trace_stride-th iterate and the last one
     are recorded, so that the final row describes x_final.
+
+    Run options, which every solver takes as keywords:
+        x0              start point, copied (default: zeros)
+        x_star          reference optimum; without it the trace's gap is NaN
+        trace_stride    record every trace_stride-th iterate (default 1)
+        budget_queries  take no step once the query total reaches this, and
+                        no full pass once the total plus its cost would
+        budget_wall_s   take no full pass or step once this many seconds
+                        have passed
     """
     cp, counter = counted(problem)
     x = np.zeros(problem.dim_x) if x0 is None else np.array(x0, dtype=np.float64)
@@ -199,7 +204,8 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
         rec.record(0, 0, x, force=True)
         for epoch, inner_iter, x in steps(cp, x, room):
             if not np.isfinite(x).all():
-                raise DivergedError("solver produced a non-finite iterate", rec.rows, x)
+                raise DivergedError("solver produced a non-finite iterate", rec.rows, x,
+                                    counter)
             iters += 1
             rec.record(epoch, inner_iter, x)
         if iters % rec.stride:  # the last step fell between strides
@@ -207,16 +213,7 @@ def _drive(problem, reg, eta, x0, x_star, trace_stride, budget_queries,
     return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 
-def vrsc_pg(
-    problem,
-    reg,
-    cfg,
-    x0=None,
-    x_star=None,
-    trace_stride=1,
-    budget_queries=None,
-    budget_wall_s=None,
-):
+def vrsc_pg(problem, reg, cfg, **run):
     """Variance-reduced stochastic compositional proximal gradient.
 
     Per epoch: snapshot full pass, then m inner iterations each sampling
@@ -227,7 +224,8 @@ def vrsc_pg(
     Jacobian is built.
     With m = 1 every step is taken at its own snapshot, where the estimates
     equal the full-batch values exactly, so the method is deterministic
-    proximal gradient descent whatever the batch sizes.
+    proximal gradient descent whatever the batch sizes. `run`: the run
+    options of `_drive`.
     """
 
     def steps(cp, x, room):
@@ -247,31 +245,17 @@ def vrsc_pg(
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
                 yield s, t + 1, x
 
-    return _drive(problem, reg, cfg.eta, x0, x_star, trace_stride,
-                  budget_queries, budget_wall_s, steps)
+    return _drive(problem, reg, cfg.eta, steps, **run)
 
 
-def scpg_baseline(
-    problem,
-    reg,
-    alpha0,
-    beta0,
-    exp_alpha,
-    exp_beta,
-    iters,
-    seed,
-    x0=None,
-    x_star=None,
-    trace_stride=1,
-    budget_queries=None,
-    budget_wall_s=None,
-):
+def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed, **run):
     """Two-timescale stochastic compositional proximal gradient baseline.
 
     Tracks the inner value with the auxiliary average
     y_{t+1} = (1 - beta_t) y_t + beta_t G_j(x_t) and takes decaying-step
     proximal updates; 3 oracle queries per iteration. Steps decay as
     alpha_t = alpha0 / (1+t)^exp_alpha and beta_t = beta0 / (1+t)^exp_beta.
+    `run`: the run options of `_drive`.
     """
     if alpha0 <= 0 or beta0 <= 0:
         raise ValueError("alpha0 and beta0 must be positive")
@@ -293,27 +277,15 @@ def scpg_baseline(
             x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
             yield 0, t + 1, x
 
-    return _drive(problem, reg, alpha0, x0, x_star, trace_stride,
-                  budget_queries, budget_wall_s, steps)
+    return _drive(problem, reg, alpha0, steps, **run)
 
 
-def prox_svrg(
-    fsp,
-    reg,
-    eta,
-    m,
-    S_epochs,
-    seed,
-    x0=None,
-    x_star=None,
-    trace_stride=1,
-    budget_queries=None,
-    budget_wall_s=None,
-):
+def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
     """Proximal SVRG for plain finite sums.
 
     Each epoch computes the full gradient f' at the snapshot, then m inner
     steps with the corrected estimate f' - (grad f_i(x_tilde) - grad f_i(x)).
+    `run`: the run options of `_drive`.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -330,30 +302,19 @@ def prox_svrg(
                 if not room():
                     return
                 (i,) = next(draws)
-                v_t = _snapshot_corrected(f_prime, cp.comp_gradient_batch, x_tilde, x, i)
+                v_t = f_prime - paired_diff_mean(cp.comp_gradient_batch, i, x_tilde, x)
                 x = reg.prox(x - eta * v_t, eta)
                 yield s, t + 1, x
 
-    return _drive(fsp, reg, eta, x0, x_star, trace_stride,
-                  budget_queries, budget_wall_s, steps)
+    return _drive(fsp, reg, eta, steps, **run)
 
 
-def prox_full_gradient(
-    problem,
-    reg,
-    eta,
-    iters,
-    tol=0.0,
-    x0=None,
-    x_star=None,
-    trace_stride=1,
-    budget_queries=None,
-    budget_wall_s=None,
-):
+def prox_full_gradient(problem, reg, eta, iters, tol=0.0, **run):
     """Deterministic proximal gradient descent; reference solver.
 
     Stops when the step norm drops to tol or the iteration cap is hit.
-    Works on composition problems and plain finite sums alike.
+    Works on composition problems and plain finite sums alike. `run`: the
+    run options of `_drive`.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -368,8 +329,7 @@ def prox_full_gradient(
             if np.linalg.norm(x - x_prev) <= tol:
                 return
 
-    return _drive(problem, reg, eta, x0, x_star, trace_stride,
-                  budget_queries, budget_wall_s, steps)
+    return _drive(problem, reg, eta, steps, **run)
 
 
 # -- parameter schedules and rate checks --------------------------------------

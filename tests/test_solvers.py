@@ -120,9 +120,6 @@ class TanhInnerProblem(CompositionProblem):
 
 
 class TestEstimators:
-    def test_inner_value_cancels_at_snapshot(self):
-        assert verification.check_snapshot_cancellation()[1]
-
     def test_inner_value_single_index_formula(self):
         prob = linquad()
         rng = RngStream(5)
@@ -171,9 +168,6 @@ class TestEstimators:
         se = np.sqrt(np.maximum(acc_sq / n_rep - mean**2, 0.0) / n_rep)
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
 
-    def test_inner_jacobian_cancels_at_snapshot(self):
-        assert verification.check_snapshot_cancellation()[1]
-
     def test_inner_jacobian_exact_for_affine_maps(self):
         # the generic view's snapshot holds the dense mean Jacobian
         prob = verification._generic_view(
@@ -217,9 +211,6 @@ class TestEstimators:
         se = np.sqrt(np.maximum(acc_sq / n_rep - mean**2, 0.0) / n_rep)
         assert np.all(se > 0)
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
-
-    def test_gradient_estimate_cancels_at_snapshot(self):
-        assert verification.check_snapshot_cancellation()[1]
 
     def test_gradient_estimate_full_batch_exact(self):
         prob = linquad()
@@ -373,11 +364,6 @@ class TestVrscPg:
         res = vrsc_pg(prob, ZeroPenalty(), cfg, x0=x_star)
         assert np.linalg.norm(res.x_final - x_star) <= 1e-10
 
-    # the check runs both batch modes on every composition class
-    @pytest.mark.parametrize("batches", ["full", "single"])
-    def test_full_batch_matches_prox_gradient_stepwise(self, batches):
-        assert verification.check_full_batch_degeneration()[1]
-
     def test_converges_on_portfolio_settings(self):
         prob = PortfolioProblem(gen_gaussian_rewards(60, 10, 2.0, RngStream(16)))
         reg = L1Penalty(1e-3)
@@ -386,9 +372,6 @@ class TestVrscPg:
         res = vrsc_pg(prob, reg, cfg, x_star=ref.x_final, trace_stride=60)
         gaps = [r.gap for r in res.trace]
         assert gaps[-1] < 1e-6 and gaps[-1] < gaps[0]
-
-    def test_determinism_bitwise(self):
-        assert verification.check_determinism()[1]
 
     def test_divergence_raises_with_trace(self):
         prob = linquad()
@@ -548,6 +531,11 @@ class TestBudgets:
         assert res.n_iters == 0 and np.array_equal(res.x_final, x0)
         assert not np.shares_memory(res.x_final, x0)
 
+    @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+    def test_misspelt_run_option_rejected(self, name):
+        with pytest.raises(TypeError, match="_drive.*budget_query"):
+            BUDGETED_RUNS[name](budget_query=10)
+
     def test_snapshot_paid_only_if_a_step_can_follow(self):
         prob = linquad(n1=10, n2=12)
         cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
@@ -586,15 +574,8 @@ class TestDivergence:
         assert trace[-1].queries < budget // 10
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_overflowing_start_ends_run_at_start_row(self, stride, monkeypatch):
+    def test_overflowing_start_ends_run_at_start_row(self, stride):
         # the start row's objective overflows, so no query is paid
-        counters = []
-
-        def counted_kept(problem):
-            counters.append(counted(problem))
-            return counters[-1]
-
-        monkeypatch.setattr(solvers, "counted", counted_kept)
         prob = gen_linquad(10, 8, 6, 5, RngStream(2))
         cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
         with warnings.catch_warnings():
@@ -603,16 +584,26 @@ class TestDivergence:
                 vrsc_pg(prob, ZeroPenalty(), cfg, x0=np.full(prob.dim_x, 1e200),
                         trace_stride=stride)
         assert err.value.trace == []
-        assert counters[0][1].snapshot() == (0, 0, 0)
+        assert err.value.counter.snapshot() == (0, 0, 0)
+
+    @pytest.mark.parametrize("stride, site", [
+        (1, "objective is not finite"),  # the recorder's raise
+        (10**9, "non-finite iterate"),  # the loop's, between recorded rows
+    ])
+    def test_diverged_run_carries_its_counter(self, stride, site):
+        prob = linquad()
+        cfg = VrscpgConfig(eta=1e6, m=50, S_epochs=10, A=2, B=2, b1=2, seed=0)
+        with pytest.raises(DivergedError, match=site) as err:
+            vrsc_pg(prob, ZeroPenalty(), cfg, trace_stride=stride)
+        counter = err.value.counter
+        # one snapshot and every step up to the one that diverged
+        t = (counter.inner_value_queries - prob.n2) // (2 * cfg.A)
+        assert counter.snapshot() == (prob.n2 + 2 * cfg.A * t, prob.n2 + 2 * cfg.B * t,
+                                      prob.n1 + 2 * cfg.b1 * t)
+        assert counter.total > err.value.trace[-1].queries
 
 
 # -- the per-step draws that the block draws replace, as test-only references --
-
-
-def _drive_steps(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
-                 budget_queries=None, budget_wall_s=None):
-    return solvers._drive(problem, reg, eta, x0, x_star, trace_stride,
-                          budget_queries, budget_wall_s, steps)
 
 
 def per_step_vrsc_pg(problem, reg, cfg, **kw):
@@ -633,7 +624,7 @@ def per_step_vrsc_pg(problem, reg, cfg, **kw):
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
                 yield s, t + 1, x
 
-    return _drive_steps(problem, reg, cfg.eta, steps, **kw)
+    return solvers._drive(problem, reg, cfg.eta, steps, **kw)
 
 
 def per_step_scpg(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed, **kw):
@@ -652,7 +643,7 @@ def per_step_scpg(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
             x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
             yield 0, t + 1, x
 
-    return _drive_steps(problem, reg, alpha0, steps, **kw)
+    return solvers._drive(problem, reg, alpha0, steps, **kw)
 
 
 def per_step_prox_svrg(fsp, reg, eta, m, S_epochs, seed, **kw):
@@ -672,7 +663,7 @@ def per_step_prox_svrg(fsp, reg, eta, m, S_epochs, seed, **kw):
                 x = reg.prox(x - eta * v_t, eta)
                 yield s, t + 1, x
 
-    return _drive_steps(fsp, reg, eta, steps, **kw)
+    return solvers._drive(fsp, reg, eta, steps, **kw)
 
 
 def replay(run):
@@ -796,9 +787,6 @@ class TestGradientMapping:
         x = RngStream(27).normal(size=prob.dim_x)
         gm = gradient_mapping(prob, ZeroPenalty(), x, 0.3)
         assert np.allclose(gm, prob.full_gradient(x), atol=1e-14)
-
-    def test_vanishes_at_regularized_optimum(self):
-        assert verification.check_stationarity_metrics()[1]
 
     def test_one_dimensional_hand_case(self):
         from composolve.problems import LinQuadProblem

@@ -12,8 +12,10 @@ the step-size sweeps' trials and reference solves included, gives one
 fingerprint: the sha256 of x_final, the iteration count, the query
 triple, and every trace field but wall_ms, with the values, so that a
 diff can size a change. A diverged call gives its finite rows and the
-queries spent. `--root` runs another checkout's src/ and perfbench/
-instead of this one's, so that a change can be set against its parent.
+queries spent, from the error's counter. `--root` runs another
+checkout's src/ and perfbench/ instead of this one's, so that a change
+can be set against its parent; a checkout whose `DivergedError` carries
+no counter is recorded with its own copy of this tool.
 
 `--diff` prints, as JSON, the first call and field that differ and the
 largest relative change, overall and per solver: |a - b| / |a| for a row
@@ -47,8 +49,8 @@ def record(root):
     from composolve.numerics import RngStream
 
     fields = [f for f in metrics.CSV_COLUMNS if f != "wall_ms"]
-    calls, counter_of_run, stage = [], [None], ["start"]
-    drive, counted = solvers._drive, solvers.counted
+    calls, stage = [], ["start"]
+    drive = solvers._drive
 
     def fingerprint(solver, x, rows, counter, n_iters, diverged):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -63,21 +65,17 @@ def record(root):
             "rows": [[getattr(r, f) for f in fields] for r in rows],
         })
 
-    def counting(problem):
-        cp, counter_of_run[0] = counted(problem)
-        return cp, counter_of_run[0]
-
     def fingerprinted(*args, **kwargs):
         solver = sys._getframe(1).f_code.co_name  # the solver whose loop this is
         try:
             res = drive(*args, **kwargs)
         except metrics.DivergedError as err:
-            fingerprint(solver, err.x_last, err.trace, counter_of_run[0], None, str(err))
+            fingerprint(solver, err.x_last, err.trace, err.counter, None, str(err))
             raise
         fingerprint(solver, res.x_final, res.trace, res.counter, res.n_iters, None)
         return res
 
-    solvers._drive, solvers.counted = fingerprinted, counting
+    solvers._drive = fingerprinted
     try:
         for name, wl in workloads.WORKLOADS.items():
             stage[0] = f"{name}/setup"
@@ -105,7 +103,7 @@ def record(root):
         else:
             raise RuntimeError("the divergence run must diverge")
     finally:
-        solvers._drive, solvers.counted = drive, counted
+        solvers._drive = drive
     return {"fields": fields, "calls": calls}
 
 
