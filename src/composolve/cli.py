@@ -10,7 +10,7 @@ import numpy as np
 
 from . import __version__, problems, solvers, verification
 from .metrics import CSV_COLUMNS, verify_optimum
-from .numerics import RngStream
+from .numerics import RngStream, check_int, check_real
 from .regularizers import make_regularizer
 
 # Learning-rate grid used by the tuning sweep.
@@ -18,28 +18,24 @@ DEFAULT_ETA_GRID = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
 
 LOG_FLOOR = 1e-16  # log-scale plots clip nonpositive values here
 
-_SCHEMA_PATH = Path(__file__).resolve().parents[2] / "schema" / "experiment_config.schema.json"
-
 
 def load_config(path):
+    """The parsed JSON config; the code that reads each value checks it."""
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    try:  # jsonschema is a test extra; the schema ships with the repo, not the wheel
-        import jsonschema
+        return json.load(fh)
 
-        with open(_SCHEMA_PATH, encoding="utf-8") as fh:
-            schema = json.load(fh)
-    except (ImportError, FileNotFoundError) as err:
-        warnings.warn(f"config not validated: {err}")
-        return cfg
-    jsonschema.validate(cfg, schema)
-    return cfg
+
+def _typed(name, value, kind):
+    """value, if it is a kind (a JSON object, array or string); else TypeError."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def build_problem(spec):
     """Instantiate the problem named by a config's problem block."""
-    if "path" in spec:
-        return problems.load_problem(spec["path"])
+    if "path" in _typed("problem", spec, dict):
+        return problems.load_problem(_typed("path", spec["path"], str))
     return problems.generate_problem(spec)
 
 
@@ -72,24 +68,27 @@ def compute_reference(problem, reg, ref_cfg):
 
 
 # Solver name -> (step-size key, function in `solvers`, spec and seed ->
-# keyword arguments). The function is looked up by name at call time, so a
-# solver replaced on the module (for instrumentation) is the one called.
+# keyword arguments, the problem families it solves). The function is looked
+# up by name at call time, so a solver replaced on the module (for
+# instrumentation) is the one called. A missing parameter reaches the solver
+# as None, which its own check rejects.
+_COMPOSITION = (problems.CompositionProblem,)
 _SOLVERS = {
     "vrsc_pg": ("eta", "vrsc_pg", lambda spec, seed: dict(cfg=solvers.VrscpgConfig(
-        eta=spec["eta"], m=spec["m"], S_epochs=spec["S_epochs"],
-        A=spec["A"], B=spec["B"], b1=spec["b1"], seed=seed,
-    ))),
+        eta=spec.get("eta"), m=spec.get("m"), S_epochs=spec.get("S_epochs"),
+        A=spec.get("A"), B=spec.get("B"), b1=spec.get("b1"), seed=seed,
+    )), _COMPOSITION),
     "scpg": ("alpha0", "scpg_baseline", lambda spec, seed: dict(
-        alpha0=spec["alpha0"], beta0=spec.get("beta0", 1.0),
+        alpha0=spec.get("alpha0"), beta0=spec.get("beta0", 1.0),
         exp_alpha=spec.get("exp_alpha", 0.75), exp_beta=spec.get("exp_beta", 0.5),
         iters=spec.get("iters", 10**9), seed=seed,
-    )),
+    ), _COMPOSITION),
     "prox_svrg": ("eta", "prox_svrg", lambda spec, seed: dict(
-        eta=spec["eta"], m=spec["m"], S_epochs=spec["S_epochs"], seed=seed,
-    )),
+        eta=spec.get("eta"), m=spec.get("m"), S_epochs=spec.get("S_epochs"), seed=seed,
+    ), (problems.FiniteSumProblem,)),
     "prox_full_gradient": ("eta", "prox_full_gradient", lambda spec, seed: dict(
-        eta=spec["eta"], iters=spec.get("iters", 10_000), tol=spec.get("tol", 0.0),
-    )),
+        eta=spec.get("eta"), iters=spec.get("iters", 10_000), tol=spec.get("tol", 0.0),
+    ), (problems.CompositionProblem, problems.FiniteSumProblem)),
 }
 
 
@@ -100,7 +99,7 @@ def _solver(name):
 
 
 def _run_one(solver_spec, problem, reg, seed, budget, x_star, stride):
-    _, fn_name, kwargs = _solver(solver_spec["name"])
+    _, fn_name, kwargs, _ = _solver(solver_spec["name"])
     return getattr(solvers, fn_name)(
         problem, reg, **kwargs(solver_spec, seed), x_star=x_star,
         trace_stride=stride, budget_queries=budget.get("max_queries"),
@@ -154,30 +153,66 @@ def read_trace_csv(path):
         rows = []
         for line in fh:
             parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"row with {len(parts)} fields under a header of "
+                                 f"{len(header)} in {path}: {line.strip()!r}")
             rows.append({k: float(v) for k, v in zip(header, parts)})
     return rows
 
 
 def cmd_gen(config, out_dir):
+    prob = build_problem(_typed("config", config, dict).get("problem"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    prob = build_problem(config["problem"])
     path = out_dir / "problem.json"
     problems.save_problem(prob, path)
     return path
 
 
+def _check_solver_spec(spec, prob):
+    """Reject what only `cmd_run` reads of a solver block: its name, label,
+    step size ("tune" or a number > 0), tuning knobs and problem family. The
+    solver checks its own parameters when it is called."""
+    name = _typed("solver", spec, dict).get("name")
+    key, _, _, families = _solver(name)
+    _typed("label", spec.get("label", name), str)
+    if spec.get(key) != "tune":
+        check_real(key, spec.get(key), 0, open_low=True)
+    if "eta_grid" in spec:
+        if not _typed("eta_grid", spec["eta_grid"], list):
+            raise ValueError("eta_grid must not be empty")
+        for eta in spec["eta_grid"]:
+            check_real("eta_grid entry", eta, 0, open_low=True)
+    if "tune_queries" in spec:
+        check_int("tune_queries", spec["tune_queries"])
+    if not isinstance(prob, families):
+        raise ValueError(f"solver {name} cannot run on a {type(prob).__name__}")
+
+
 def cmd_run(config, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prob = build_problem(config["problem"])
-    reg_spec = config.get("regularizer", {"kind": "zero"})
-    reg = make_regularizer(reg_spec["kind"], reg_spec.get("lambda", 0.0))
-    budget = config.get("budget", {})
+    """Run every solver of the config on each seed; write the traces and a summary.
+
+    Every config-level value is checked before the reference solve, and each
+    solver's own parameters in that solver before it spends a query.
+    """
+    prob = build_problem(_typed("config", config, dict).get("problem"))
+    reg_spec = _typed("regularizer", config.get("regularizer", {"kind": "zero"}), dict)
+    reg = make_regularizer(reg_spec.get("kind"), reg_spec.get("lambda", 0.0))
+    budget = _typed("budget", config.get("budget", {}), dict)
     stride = config.get("trace_stride", 1)
-    seeds = config["seeds"]
+    solvers.check_run_options(stride, budget.get("max_queries"), budget.get("max_wall_s"))
+    seeds = _typed("seeds", config.get("seeds"), list)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    for seed in seeds:
+        check_int("seed", seed, 0)
+    specs = _typed("solvers", config.get("solvers", []), list)
+    for spec in specs:
+        _check_solver_spec(spec, prob)
 
     x_star, residual, ref_eta = compute_reference(
-        prob, reg, config.get("reference", {})
+        prob, reg, _typed("reference", config.get("reference", {}), dict)
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "config": config,
         "versions": {"composolve": __version__, "numpy": np.__version__},
@@ -191,8 +226,11 @@ def cmd_run(config, out_dir):
         warnings.warn(
             f"reference optimum unverified: gradient-mapping norm {residual:.2e}"
         )
+    elif not x_star.any():
+        warnings.warn("reference optimum is the start point (zeros): every run "
+                      "starts at its optimum, and its gap column is zero")
 
-    for spec in config.get("solvers", []):
+    for spec in specs:
         spec = dict(spec)
         label = spec.get("label", spec["name"])
         key = _solver(spec["name"])[0]
@@ -343,6 +381,14 @@ def cmd_check():
     return failures
 
 
+def _output_dir(config, out):
+    """--out, else the config's output_dir, else "out"."""
+    if out:
+        return Path(out)
+    config = _typed("config", config, dict)
+    return Path(_typed("output_dir", config.get("output_dir", "out"), str))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="composolve",
@@ -371,13 +417,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gen":
         config = load_config(args.config)
-        out = Path(args.out or config.get("output_dir", "out"))
-        path = cmd_gen(config, out)
+        path = cmd_gen(config, _output_dir(config, args.out))
         print(f"wrote {path}")
         return 0
     if args.command == "run":
         config = load_config(args.config)
-        out = Path(args.out or config.get("output_dir", "out"))
+        out = _output_dir(config, args.out)
         summary = cmd_run(config, out)
         n_div = sum(r["diverged"] for r in summary["runs"])
         print(f"wrote {len(summary['runs'])} traces to {out} ({n_div} diverged)")
@@ -385,8 +430,7 @@ def main(argv=None):
     if args.command == "plot":
         csvs = list(args.csvs)
         if args.config:
-            config = load_config(args.config)
-            out_dir = Path(config.get("output_dir", "out"))
+            out_dir = _output_dir(load_config(args.config), None)
             csvs.extend(sorted(str(p) for p in out_dir.glob("*.csv")))
         path = cmd_plot(csvs, args.out, x_axis=args.x_axis, y_field=args.y)
         print(f"wrote {path}")

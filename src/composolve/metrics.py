@@ -100,7 +100,7 @@ class TraceRecorder:
         self.reg = reg
         self.eta = float(eta)
         self.counter = counter
-        self.stride = max(int(stride), 1)
+        self.stride = stride
         self.rows = []
         self._h_star = None if x_star is None else objective_H(problem, reg, x_star)
         self._t0 = time.perf_counter()

@@ -1,4 +1,8 @@
-"""Dense numeric primitives: validated arrays, seeded streams, derivative checks."""
+"""Dense numeric primitives: validated arrays and scalars, seeded streams,
+derivative checks."""
+
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -12,11 +16,11 @@ class RngStream:
     Philox is a named, documented bit generator whose output for a given
     seed is identical across platforms, so experiment traces replay
     bit-for-bit. A stream is single-owner: never share one across
-    concurrent tasks.
+    concurrent tasks. The seed is an integer >= 0, a bool not included.
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
+        self.seed = int(check_int("seed", seed, 0))
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def integers(self, n, size=None):
@@ -27,6 +31,29 @@ class RngStream:
 
     def uniform(self, size=None):
         return self._gen.uniform(size=size)
+
+
+def check_int(name, value, low=1):
+    """value, if it is an integer (not a bool) >= low; else a TypeError or
+    ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name, value, low=-math.inf, high=math.inf, open_low=False, open_high=False):
+    """value, if it is a real number (not a bool) between low and high, each
+    end included unless open_*; else a TypeError or ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not ((low < value if open_low else low <= value)
+            and (value < high if open_high else value <= high)):
+        interval = (f"{'(' if open_low else '['}{low:g}, {high:g}"
+                    f"{')' if open_high or high == math.inf else ']'}")
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return value
 
 
 def read_only(a):

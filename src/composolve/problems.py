@@ -36,7 +36,7 @@ import json
 
 import numpy as np
 
-from .numerics import RngStream, as_matrix, as_vector, read_only
+from .numerics import RngStream, as_matrix, as_vector, check_int, check_real, read_only
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
@@ -278,8 +278,7 @@ class PolicyEvalProblem(AffineInnerProblem):
         reward = as_matrix(reward, "reward", rows=s, cols=s)
         if transition.shape[1] != s:
             raise ValueError("transition matrix must be square")
-        if not (0.0 < gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
+        check_real("gamma", gamma, 0, 1, open_low=True, open_high=True)
         row_sums = transition.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             raise ValueError("transition rows must sum to 1 within 1e-9")
@@ -563,8 +562,7 @@ def gen_gaussian_rewards(n, dim, kappa_cov, rng):
     from N(mean=1, C), and takes absolute values so every reward is
     strictly positive.
     """
-    if kappa_cov < 1:
-        raise ValueError("kappa_cov must be >= 1")
+    check_real("kappa_cov", kappa_cov, 1)
     eigenvalues = np.geomspace(1.0, float(kappa_cov), dim)
     raw = rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(raw)
@@ -584,10 +582,8 @@ def gen_mdp(n_states, num_actions, rng):
     row-normalized; the returned P averages the per-action matrices.
     Rewards r(s, s') are uniform [0, 1].
     """
-    if n_states < 2:
-        raise ValueError("need at least 2 states")
-    if num_actions < 1:
-        raise ValueError("need at least 1 action")
+    check_int("n_states", n_states, 2)
+    check_int("num_actions", num_actions)
     p = np.zeros((n_states, n_states))
     for _ in range(num_actions):
         raw = rng.uniform(size=(n_states, n_states)) + 1e-5
@@ -604,6 +600,7 @@ def gen_linquad(n1, n2, dim_y, dim_x, rng, spread=0.3):
     a small Gaussian perturbation so the inner-sampling noise is nonzero.
     Requires dim_y >= dim_x so the composite stays strongly convex.
     """
+    check_real("spread", spread, 0)
     if dim_y < dim_x:
         raise ValueError("dim_y must be >= dim_x for a strongly convex composite")
     base = rng.normal(size=(dim_y, dim_x))
@@ -620,6 +617,8 @@ def gen_linquad(n1, n2, dim_y, dim_x, rng, spread=0.3):
 
 def gen_lasso(n, dim, rng, sparsity=0.2, noise=0.01):
     """Random lasso instance with a sparse planted solution."""
+    check_real("sparsity", sparsity, 0, 1)
+    check_real("noise", noise, 0)
     design = rng.normal(size=(n, dim)) / np.sqrt(dim)
     x_true = rng.normal(size=dim)
     mask = rng.uniform(size=dim) < sparsity
@@ -675,8 +674,15 @@ def _kind(kind):
 
 
 def generate_problem(spec):
-    """Generate the problem a config's problem block describes (seed 0 by default)."""
-    return _kind(spec["kind"])[1](spec, RngStream(spec.get("seed", 0)))
+    """Generate the problem a config's problem block describes (seed 0 by default).
+
+    Each dimension that names an axis of the kind's stored fields must be an
+    integer >= 1; the generators check their own parameters.
+    """
+    _, gen, fields = _kind(spec.get("kind"))
+    for axis in dict.fromkeys(a for axes in fields.values() for a in axes):
+        check_int(axis, spec.get(axis))
+    return gen(spec, RngStream(spec.get("seed", 0)))
 
 
 def problem_to_dict(prob):

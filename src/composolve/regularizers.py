@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .numerics import check_real
+
 
 class ZeroPenalty:
     """The trivial penalty h(x) = 0. Its prox is the identity."""
@@ -30,9 +32,7 @@ class L1Penalty:
     kind = "l1"
 
     def __init__(self, lam):
-        if lam < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        self.lam = float(lam)
+        self.lam = float(check_real("lam", lam, 0))
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -14,16 +14,17 @@ Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
 both budgets. Every solver passes its remaining keywords on to that loop,
 whose run options (`x0`, `x_star`, `trace_stride`, `budget_queries`,
-`budget_wall_s`) are declared and described there alone. The query and
-wall-clock budgets are checked before every full pass and every step, and
-a full pass is paid only if a step can follow it. Each run owns its query
-counter. A non-finite iterate, or a row (the start row too) whose
-objective the recorder finds non-finite, ends the run with `DivergedError`,
-which carries the finite rows, the last iterate and the run's counter;
-numpy's overflow warnings are silenced inside the loop, since that error
-reports the divergence. The stochastic solvers draw their index sets a
-block of steps at a time (`_index_sets`), which replays bitwise the draws
-of one stream call per index set.
+`budget_wall_s`) are declared and described there alone, and checked by
+`check_run_options`. Each solver checks its own parameters before it
+spends a query. The query and wall-clock budgets are checked before every
+full pass and every step, and a full pass is paid only if a step can
+follow it. Each run owns its query counter. A non-finite iterate, or a row
+(the start row too) whose objective the recorder finds non-finite, ends
+the run with `DivergedError`, which carries the finite rows, the last
+iterate and the run's counter; numpy's overflow warnings are silenced
+inside the loop, since that error reports the divergence. The stochastic
+solvers draw their index sets a block of steps at a time (`_index_sets`),
+which replays bitwise the draws of one stream call per index set.
 """
 
 import math
@@ -33,7 +34,7 @@ from typing import List
 import numpy as np
 
 from .metrics import DivergedError, TraceRecord, TraceRecorder
-from .numerics import RngStream, sample_with_replacement
+from .numerics import RngStream, check_int, check_real, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
 from .problems import paired_diff_mean
 
@@ -74,11 +75,9 @@ class VrscpgConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        check_real("eta", self.eta, 0, open_low=True)
         for name in ("m", "S_epochs", "A", "B", "b1"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_int(name, getattr(self, name))
 
 
 @dataclass
@@ -172,6 +171,15 @@ def _index_sets(rng, groups, steps):
         yield from zip(*np.split(block, cuts, axis=1))
 
 
+def check_run_options(trace_stride=1, budget_queries=None, budget_wall_s=None):
+    """Reject a run option of `_drive` outside its domain, naming it."""
+    check_int("trace_stride", trace_stride)
+    if budget_queries is not None:
+        check_int("budget_queries", budget_queries)
+    if budget_wall_s is not None:
+        check_real("budget_wall_s", budget_wall_s, 0, open_low=True)
+
+
 def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
            budget_queries=None, budget_wall_s=None):
     """Shared solver loop around steps(cp, x, room).
@@ -184,12 +192,17 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
     Run options, which every solver takes as keywords:
         x0              start point, copied (default: zeros)
         x_star          reference optimum; without it the trace's gap is NaN
-        trace_stride    record every trace_stride-th iterate (default 1)
-        budget_queries  take no step once the query total reaches this, and
-                        no full pass once the total plus its cost would
-        budget_wall_s   take no full pass or step once this many seconds
-                        have passed
+        trace_stride    an integer >= 1: record every trace_stride-th
+                        iterate (default 1)
+        budget_queries  None (no cap) or an integer >= 1: take no step once
+                        the query total reaches this, and no full pass once
+                        the total plus its cost would
+        budget_wall_s   None (no cap) or a number > 0: take no full pass or
+                        step once this many seconds have passed
+    An option outside its domain raises TypeError or ValueError before any
+    query (`check_run_options`).
     """
+    check_run_options(trace_stride, budget_queries, budget_wall_s)
     cp, counter = counted(problem)
     x = np.zeros(problem.dim_x) if x0 is None else np.array(x0, dtype=np.float64)
     rec = TraceRecorder(problem, reg, eta, counter, x_star=x_star, stride=trace_stride)
@@ -257,10 +270,11 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
     alpha_t = alpha0 / (1+t)^exp_alpha and beta_t = beta0 / (1+t)^exp_beta.
     `run`: the run options of `_drive`.
     """
-    if alpha0 <= 0 or beta0 <= 0:
-        raise ValueError("alpha0 and beta0 must be positive")
-    if not (0 < exp_alpha <= 1 and 0 < exp_beta <= 1):
-        raise ValueError("decay exponents must lie in (0, 1]")
+    check_real("alpha0", alpha0, 0, open_low=True)
+    check_real("beta0", beta0, 0, open_low=True)
+    check_real("exp_alpha", exp_alpha, 0, 1, open_low=True)
+    check_real("exp_beta", exp_beta, 0, 1, open_low=True)
+    check_int("iters", iters)
 
     def steps(cp, x, room):
         draws = _index_sets(RngStream(seed), ((problem.n2, 1), (problem.n1, 1)), iters)
@@ -287,8 +301,9 @@ def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
     steps with the corrected estimate f' - (grad f_i(x_tilde) - grad f_i(x)).
     `run`: the run options of `_drive`.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_real("eta", eta, 0, open_low=True)
+    check_int("m", m)
+    check_int("S_epochs", S_epochs)
 
     def steps(cp, x, room):
         rng = RngStream(seed)
@@ -316,8 +331,9 @@ def prox_full_gradient(problem, reg, eta, iters, tol=0.0, **run):
     Works on composition problems and plain finite sums alike. `run`: the
     run options of `_drive`.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_real("eta", eta, 0, open_low=True)
+    check_int("iters", iters)
+    check_real("tol", tol, 0)
 
     def steps(cp, x, room):
         for t in range(iters):

@@ -1,5 +1,4 @@
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -58,40 +57,186 @@ class TestLoadConfig:
         cfg = cli.load_config(path)
         assert cfg["problem"]["kind"] == "linquad"
 
-    def test_schema_rejects_bad_solver_name(self, tmp_path):
-        jsonschema = pytest.importorskip("jsonschema")
+
+# A malformed case: (edit of small_config, error, message pattern, solver-level).
+# Config-level cases fail before the reference solve and write nothing; a
+# solver's own parameter fails in that solver, after the reference solve,
+# and writes no CSV for it while the good solver before it runs.
+_DELETE = object()
+
+
+def _edit(*path, value=_DELETE):
+    def apply(cfg):
+        *parents, leaf = path
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        return cfg
+
+    return apply
+
+
+def _problem(kind, **changes):
+    base = {"portfolio": {"kind": "portfolio", "n": 12, "N": 4},
+            "policy_eval": {"kind": "policy_eval", "S": 6},
+            "linquad": {"kind": "linquad", "n1": 8, "n2": 6, "M": 5, "N": 4},
+            "lasso": {"kind": "lasso", "n": 10, "N": 4}}[kind]
+    return _edit("problem", value={**base, "seed": 3, **changes})
+
+
+_LASSO_GOOD = {"name": "prox_full_gradient", "label": "vr", "eta": 0.5, "iters": 50}
+
+
+def _bad_solver(name, **params):
+    """The config's good solver, then a solver labelled "bad" with params."""
+    defaults = {"vrsc_pg": {"eta": 0.05, "m": 10, "S_epochs": 5, "A": 3, "B": 3, "b1": 3},
+                "scpg": {"alpha0": 0.05},
+                "prox_svrg": {"eta": 0.5, "m": 10, "S_epochs": 3},
+                "prox_full_gradient": {"eta": 0.1, "iters": 50}}[name]
+    bad = {"name": name, "label": "bad", **defaults, **params}
+
+    def apply(cfg):
+        if name == "prox_svrg":
+            cfg = _problem("lasso")(cfg)
+            cfg["solvers"] = [_LASSO_GOOD]
+        cfg["solvers"].append(bad)
+        return cfg
+
+    return apply
+
+
+def _case(edit, error, match, case_id, solver_level=False):
+    return pytest.param(edit, error, match, solver_level, id=case_id)
+
+
+MALFORMED = [
+    _case(lambda cfg: [cfg], TypeError, "^config must", "config_not_object"),
+    _case(_edit("problem"), TypeError, "^problem must", "problem_missing"),
+    _case(_edit("seeds"), TypeError, "^seeds must", "seeds_missing"),
+    # the problem block
+    _case(_edit("problem", value={"path": 5}), TypeError, "^path must", "path_not_string"),
+    _case(_edit("problem", "kind", value="matrix_completion"), ValueError,
+          "kind: 'matrix_completion'", "kind_unknown"),
+    _case(_edit("problem", "seed", value=-1), ValueError, "^seed must", "problem_seed_negative"),
+    _case(_edit("problem", "seed", value=1.5), TypeError, "^seed must", "problem_seed_not_int"),
+    _case(_problem("portfolio", n=0), ValueError, "^n must", "n_zero"),
+    _case(_problem("portfolio", N=0), ValueError, "^N must", "N_zero"),
+    _case(_problem("portfolio", kappa_cov=0.5), ValueError, "^kappa_cov must", "kappa_cov_below_1"),
+    _case(_problem("policy_eval", S=1), ValueError, "^n_states must", "S_below_2"),
+    _case(_problem("policy_eval", num_actions=0), ValueError, "^num_actions must",
+          "num_actions_zero"),
+    _case(_problem("policy_eval", gamma=1.0), ValueError, "^gamma must", "gamma_one"),
+    _case(_problem("linquad", n1=0), ValueError, "^n1 must", "n1_zero"),
+    _case(_problem("linquad", n2=0), ValueError, "^n2 must", "n2_zero"),
+    _case(_problem("linquad", M=0), ValueError, "^M must", "M_zero"),
+    _case(_problem("linquad", n1=2.5), TypeError, "^n1 must", "n1_not_int"),
+    _case(_problem("linquad", spread=-0.1), ValueError, "^spread must", "spread_negative"),
+    _case(_problem("lasso", sparsity=1.5), ValueError, "^sparsity must", "sparsity_above_1"),
+    _case(_problem("lasso", noise=-1.0), ValueError, "^noise must", "noise_negative"),
+    # the regularizer block
+    _case(_edit("regularizer", value="l1"), TypeError, "^regularizer must",
+          "regularizer_not_object"),
+    _case(_edit("regularizer", "kind"), ValueError, "kind: None", "regularizer_kind_missing"),
+    _case(_edit("regularizer", "kind", value="l2"), ValueError, "kind: 'l2'",
+          "regularizer_kind_unknown"),
+    _case(_edit("regularizer", "lambda", value=-1.0), ValueError, "^lam must", "lambda_negative"),
+    # the solver blocks: what cmd_run reads
+    _case(_edit("solvers", value={}), TypeError, "^solvers must", "solvers_not_array"),
+    _case(_edit("solvers", value=["vrsc_pg"]), TypeError, "^solver must", "solver_not_object"),
+    _case(_edit("solvers", 0, "name"), ValueError, "name: None", "solver_name_missing"),
+    _case(_edit("solvers", 0, "name", value="gradient_descent_deluxe"), ValueError,
+          "name: 'gradient_descent_deluxe'", "solver_name_unknown"),
+    _case(_edit("solvers", 0, "label", value=5), TypeError, "^label must", "label_not_string"),
+    _case(_edit("solvers", 0, "eta", value="fast"), TypeError, "^eta must",
+          "eta_neither_number_nor_tune"),
+    _case(_edit("solvers", 0, "eta", value=0.0), ValueError, "^eta must", "eta_zero"),
+    _case(_edit("solvers", 0, "eta"), TypeError, "^eta must", "eta_missing"),
+    _case(_edit("solvers", 0, "eta_grid", value=[]), ValueError, "^eta_grid must",
+          "eta_grid_empty"),
+    _case(_edit("solvers", 0, "eta_grid", value=["a"]), TypeError, "^eta_grid entry must",
+          "eta_grid_not_numbers"),
+    _case(_edit("solvers", 0, "tune_queries", value=0), ValueError, "^tune_queries must",
+          "tune_queries_zero"),
+    # the problem family
+    _case(_edit("solvers", value=[{"name": "prox_svrg", "eta": 0.5, "m": 10, "S_epochs": 3}]),
+          ValueError, "prox_svrg cannot run on a LinQuadProblem", "prox_svrg_on_composition"),
+    _case(_problem("lasso"), ValueError, "vrsc_pg cannot run on a LassoProblem",
+          "vrsc_pg_on_finite_sum"),
+    _case(lambda cfg: _edit("solvers", value=[{"name": "scpg", "alpha0": 0.05}])(
+          _problem("lasso")(cfg)), ValueError, "scpg cannot run on a LassoProblem",
+          "scpg_on_finite_sum"),
+    # a solver's own parameters: rejected in the solver, before a query
+    *(_case(_bad_solver("vrsc_pg", **{key: 0}), ValueError, f"^{key} must", f"vrsc_pg_{key}_zero",
+            True) for key in ("m", "S_epochs", "A", "B", "b1")),
+    _case(_bad_solver("vrsc_pg", m=2.5), TypeError, "^m must", "vrsc_pg_m_not_int", True),
+    _case(_bad_solver("scpg", beta0=0.0), ValueError, "^beta0 must", "scpg_beta0_zero", True),
+    _case(_bad_solver("scpg", exp_alpha=1.5), ValueError, "^exp_alpha must",
+          "scpg_exp_alpha_above_1", True),
+    _case(_bad_solver("scpg", exp_beta=0.0), ValueError, "^exp_beta must",
+          "scpg_exp_beta_zero", True),
+    _case(_bad_solver("scpg", iters=0), ValueError, "^iters must", "scpg_iters_zero", True),
+    _case(_bad_solver("prox_svrg", m=0), ValueError, "^m must", "prox_svrg_m_zero", True),
+    _case(_bad_solver("prox_svrg", S_epochs=0), ValueError, "^S_epochs must",
+          "prox_svrg_S_epochs_zero", True),
+    _case(_bad_solver("prox_full_gradient", iters=0), ValueError, "^iters must",
+          "prox_full_gradient_iters_zero", True),
+    _case(_bad_solver("prox_full_gradient", tol=-1.0), ValueError, "^tol must",
+          "prox_full_gradient_tol_negative", True),
+    # seeds, budget, trace stride
+    _case(_edit("seeds", value=[]), ValueError, "^seeds must", "seeds_empty"),
+    _case(_edit("seeds", value="0"), TypeError, "^seeds must", "seeds_not_array"),
+    _case(_edit("seeds", value=[0, 1.5]), TypeError, "^seed must", "seed_not_int"),
+    _case(_edit("seeds", value=[True]), TypeError, "^seed must", "seed_bool"),
+    _case(_edit("seeds", value=[-1]), ValueError, "^seed must", "seed_negative"),
+    _case(_edit("budget", value=5), TypeError, "^budget must", "budget_not_object"),
+    _case(_edit("budget", "max_queries", value=0), ValueError, "^budget_queries must",
+          "max_queries_zero"),
+    _case(_edit("budget", "max_queries", value=1.5), TypeError, "^budget_queries must",
+          "max_queries_not_int"),
+    _case(_edit("budget", "max_wall_s", value=0), ValueError, "^budget_wall_s must",
+          "max_wall_s_zero"),
+    _case(_edit("trace_stride", value=0), ValueError, "^trace_stride must", "trace_stride_zero"),
+    _case(_edit("trace_stride", value=1.5), TypeError, "^trace_stride must",
+          "trace_stride_not_int"),
+    # the reference block
+    _case(_edit("reference", value=[]), TypeError, "^reference must", "reference_not_object"),
+    _case(_edit("reference", "eta", value=0.0), ValueError, "^eta must", "reference_eta_zero"),
+    _case(_edit("reference", "iters", value=0), ValueError, "^iters must", "reference_iters_zero"),
+    _case(_edit("reference", "tol", value=-1.0), ValueError, "^tol must", "reference_tol_negative"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("edit, error, match, solver_level", MALFORMED)
+    def test_rejected_naming_the_value(self, edit, error, match, solver_level, tmp_path):
+        cfg = edit(small_config(tmp_path))
+        out = tmp_path / "out"
+        with pytest.raises(error, match=match):
+            cli.cmd_run(cfg, out)
+        if solver_level:
+            assert list(out.glob("vr_seed*.csv")) and not list(out.glob("bad_seed*.csv"))
+        else:
+            assert not out.exists()
+
+    def test_lasso_runs_its_two_solvers(self, tmp_path):
+        cfg = _problem("lasso")(small_config(tmp_path, solvers=[
+            {"name": "prox_svrg", "eta": 0.5, "m": 10, "S_epochs": 3},
+            {"name": "prox_full_gradient", "eta": "tune", "iters": 50},
+        ]))
+        summary = cli.cmd_run(cfg, tmp_path / "out")
+        solved = [e["solver"] for e in summary["runs"]]
+        assert solved == ["prox_svrg"] * 2 + ["prox_full_gradient"] * 2
+        assert not any(e["diverged"] for e in summary["runs"])
+
+    def test_output_dir_not_string_rejected(self, tmp_path):
         cfg = small_config(tmp_path)
-        cfg["solvers"][0]["name"] = "gradient_descent_deluxe"
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(jsonschema.ValidationError):
-            cli.load_config(path)
-
-    def test_schema_rejects_missing_seeds(self, tmp_path):
-        jsonschema = pytest.importorskip("jsonschema")
-        cfg = small_config(tmp_path)
-        del cfg["seeds"]
-        path = write_config(tmp_path, cfg)
-        with pytest.raises(jsonschema.ValidationError):
-            cli.load_config(path)
-
-    def test_schema_solver_names_are_the_table_names(self):
-        schema = json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))
-        names = schema["properties"]["solvers"]["items"]["properties"]["name"]["enum"]
-        assert sorted(names) == sorted(cli._SOLVERS)
-
-    def test_without_jsonschema_warns_and_loads(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(sys.modules, "jsonschema", None)
-        path = write_config(tmp_path, small_config(tmp_path))
-        with pytest.warns(UserWarning, match="not validated: .*jsonschema"):
-            cfg = cli.load_config(path)
-        assert cfg["problem"]["kind"] == "linquad"
-
-    def test_without_schema_file_warns_and_loads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_SCHEMA_PATH", tmp_path / "missing.json")
-        path = write_config(tmp_path, small_config(tmp_path))
-        with pytest.warns(UserWarning, match="not validated: .*missing.json"):
-            cfg = cli.load_config(path)
-        assert cfg["problem"]["kind"] == "linquad"
+        cfg["output_dir"] = 5
+        with pytest.raises(TypeError, match="^output_dir must"):
+            cli.main(["run", "--config", str(write_config(tmp_path, cfg))])
 
 
 class TestBuildProblem:
@@ -142,6 +287,15 @@ class TestTraceCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text("epoch,inner_iter,objective\n0,0,1.0\n")
         with pytest.raises(ValueError):
+            cli.read_trace_csv(bad)
+
+    def test_truncated_row_rejected(self, tmp_path):
+        _, out = self.run_small(tmp_path)
+        lines = (out / "vr_seed0.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # drops composite_grad_sq
+        bad = tmp_path / "truncated.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row with 9 fields under a header of 10"):
             cli.read_trace_csv(bad)
 
     def test_floats_survive_round_trip(self, tmp_path):
@@ -201,6 +355,20 @@ class TestCmdRun:
         assert summary["runs"] == []
         assert (out / "summary.json").exists()
         assert not list(out.glob("*.csv"))
+
+    def test_start_at_optimum_warns(self, tmp_path):
+        # at S = 400 the mean gradient at 0 lies below the L1 weight, so x* = 0
+        cfg = {"problem": {"kind": "policy_eval", "S": 400, "gamma": 0.95, "seed": 1},
+               "regularizer": {"kind": "l1", "lambda": 1e-3}, "seeds": [0]}
+        with pytest.warns(UserWarning, match="reference optimum is the start point"):
+            summary = cli.cmd_run(cfg, tmp_path / "out")
+        assert summary["x_star_verified"] and not any(summary["x_star"])
+
+    def test_start_away_from_optimum_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = cli.cmd_run(small_config(tmp_path, solvers=[]), tmp_path / "out")
+        assert summary["x_star_verified"] and any(summary["x_star"])
 
     def test_replay_identical_modulo_wall(self, tmp_path):
         assert replays_identically(small_config(tmp_path), tmp_path / "o1", tmp_path / "o2")

@@ -9,6 +9,17 @@ from composolve.numerics import (
 )
 
 
+class TestRngStream:
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), (True, TypeError),
+                                             ("1", TypeError), (-1, ValueError)])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, error):
+        with pytest.raises(error, match=f"^seed must .*got {seed!r}"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed_same_stream(self):
+        assert RngStream(np.int64(7)).normal() == RngStream(7).normal()
+
+
 class TestSampleWithReplacement:
     def test_empty_sample(self):
         assert list(sample_with_replacement(RngStream(0), 5, 0)) == []

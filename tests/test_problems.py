@@ -1,5 +1,3 @@
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from composolve.problems import (
 )
 from test_solvers import QuarticOuterProblem, TanhInnerProblem
 
-SCHEMA = Path(__file__).resolve().parents[1] / "schema" / "experiment_config.schema.json"
 
 
 def small_portfolio(seed=1, n=12, dim=4):
@@ -545,11 +542,6 @@ class TestKindTable:
         "linquad": {"n1": 5, "n2": 4, "M": 3, "N": 2},
         "lasso": {"n": 7, "N": 3},
     }
-
-    def test_schema_kinds_are_the_table_kinds(self):
-        schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
-        kinds = schema["properties"]["problem"]["properties"]["kind"]["enum"]
-        assert sorted(kinds) == sorted(_KINDS)
 
     @pytest.mark.parametrize("kind", sorted(_KINDS))
     def test_every_kind_round_trips(self, kind, tmp_path):

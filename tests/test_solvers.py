@@ -578,6 +578,17 @@ class TestBudgets:
         with pytest.raises(TypeError, match="_drive.*budget_query"):
             BUDGETED_RUNS[name](budget_query=10)
 
+    @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+    @pytest.mark.parametrize("option, value, error", [
+        ("trace_stride", 0, ValueError),
+        ("trace_stride", 1.5, TypeError),
+        ("budget_queries", 0, ValueError),
+        ("budget_wall_s", 0, ValueError),
+    ])
+    def test_run_option_outside_its_domain_rejected(self, name, option, value, error):
+        with pytest.raises(error, match=f"^{option} must"):
+            BUDGETED_RUNS[name](**{option: value})
+
     def test_snapshot_paid_only_if_a_step_can_follow(self):
         prob = linquad(n1=10, n2=12)
         cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2)
