@@ -56,14 +56,20 @@ def estimate_lipschitz(problem, seed=0, trials=5):
 def compute_reference(problem, reg, ref_cfg):
     """High-accuracy optimum via the deterministic reference solver."""
     eta = ref_cfg.get("eta")
+    source = "reference.eta"
     if eta is None:
-        eta = 1.0 / estimate_lipschitz(problem)
-    res = solvers.prox_full_gradient(
-        problem, reg, eta,
-        iters=ref_cfg.get("iters", 100_000),
-        tol=ref_cfg.get("tol", 1e-12),
-        trace_stride=10**9,
-    )
+        eta, source = 1.0 / estimate_lipschitz(problem), "the Lipschitz estimate"
+    try:
+        res = solvers.prox_full_gradient(
+            problem, reg, eta,
+            iters=ref_cfg.get("iters", 100_000),
+            tol=ref_cfg.get("tol", 1e-12),
+            trace_stride=10**9,
+        )
+    except solvers.DivergedError as err:
+        raise RuntimeError(
+            f"the reference solve diverged at step size {eta:g} (from {source})"
+        ) from err
     return res.x_final, verify_optimum(problem, reg, res.x_final, eta), eta
 
 
@@ -98,41 +104,53 @@ def _solver(name):
     return _SOLVERS[name]
 
 
-def _run_one(solver_spec, problem, reg, seed, budget, x_star, stride):
-    _, fn_name, kwargs, _ = _solver(solver_spec["name"])
-    return getattr(solvers, fn_name)(
-        problem, reg, **kwargs(solver_spec, seed), x_star=x_star,
-        trace_stride=stride, budget_queries=budget.get("max_queries"),
-        budget_wall_s=budget.get("max_wall_s"),
-    )
+def _outcome(spec, problem, reg, seed, x_star, run):
+    """One solver call on one seed, finished or diverged: its summary fields
+    (`diverged`, `final_gap` when it finished, `total_queries`) and its trace.
+    run holds `_drive`'s run options."""
+    _, fn_name, kwargs, _ = _solver(spec["name"])
+    try:
+        res = getattr(solvers, fn_name)(
+            problem, reg, **kwargs(spec, seed), x_star=x_star, **run
+        )
+    except solvers.DivergedError as err:
+        return {"diverged": True, "total_queries": err.counter.total}, err.trace
+    return ({"diverged": False, "final_gap": res.trace[-1].gap,
+             "total_queries": res.counter.total}, res.trace)
 
 
-def tune_step_size(solver_spec, problem, reg, seed, budget, x_star, stride):
-    """Pick the grid step size with the best final objective gap."""
+def tune_step_size(solver_spec, problem, reg, seed, x_star, run):
+    """Pick the grid step size with the best final objective gap.
+
+    Each trial runs with the run options run, its query budget replaced by
+    the spec's tune_queries, else a fifth of run's budget_queries, else none.
+    A trial that diverged, or took no step (its budget is below one full
+    pass), is not ranked.
+    """
+    name = solver_spec["name"]
     if x_star is None:
         raise ValueError(
-            f"tuning the step size of {solver_spec['name']} needs a reference "
+            f"tuning the step size of {name} needs a reference "
             "optimum (x_star) to measure the objective gap"
         )
-    key = _solver(solver_spec["name"])[0]
+    key = _solver(name)[0]
     grid = solver_spec.get("eta_grid", list(DEFAULT_ETA_GRID))
-    tune_budget = dict(budget)
-    if budget.get("max_queries"):
-        tune_budget["max_queries"] = solver_spec.get(
-            "tune_queries", max(budget["max_queries"] // 5, 1)
-        )
-    best_eta, best_gap = None, float("inf")
+    queries = run.get("budget_queries")
+    trial_run = {**run, "budget_queries": solver_spec.get(
+        "tune_queries", None if queries is None else max(queries // 5, 1))}
+    best_eta, best_gap, diverged = None, float("inf"), 0
     for eta in grid:
-        trial = {**solver_spec, key: eta}
-        try:
-            res = _run_one(trial, problem, reg, seed, tune_budget, x_star, stride)
-        except solvers.DivergedError:
-            continue
-        if res.trace[-1].gap < best_gap:
-            best_eta, best_gap = eta, res.trace[-1].gap
+        fields, trace = _outcome({**solver_spec, key: eta}, problem, reg, seed,
+                                 x_star, trial_run)
+        diverged += fields["diverged"]
+        if not fields["diverged"] and len(trace) > 1 and fields["final_gap"] < best_gap:
+            best_eta, best_gap = eta, fields["final_gap"]
+    if diverged == len(grid):
+        raise RuntimeError(f"every step size in the grid diverged for {name}")
     if best_eta is None:
         raise RuntimeError(
-            f"every step size in the grid diverged for {solver_spec['name']}"
+            f"no trial of the step-size sweep for {name} took a step without "
+            f"diverging (trial query budget {trial_run['budget_queries']})"
         )
     return best_eta
 
@@ -169,12 +187,15 @@ def cmd_gen(config, out_dir):
 
 
 def _check_solver_spec(spec, prob):
-    """Reject what only `cmd_run` reads of a solver block: its name, label,
-    step size ("tune" or a number > 0), tuning knobs and problem family. The
-    solver checks its own parameters when it is called."""
+    """Reject what only `cmd_run` reads of a solver block: its name, label
+    (a string without a path separator), step size ("tune" or a number > 0),
+    tuning knobs and problem family; return the label. The solver checks its
+    own parameters when it is called."""
     name = _typed("solver", spec, dict).get("name")
     key, _, _, families = _solver(name)
-    _typed("label", spec.get("label", name), str)
+    label = _typed("label", spec.get("label", name), str)
+    if "/" in label or "\\" in label:
+        raise ValueError(f"label must not contain a path separator, got {label!r}")
     if spec.get(key) != "tune":
         check_real(key, spec.get(key), 0, open_low=True)
     if "eta_grid" in spec:
@@ -186,28 +207,41 @@ def _check_solver_spec(spec, prob):
         check_int("tune_queries", spec["tune_queries"])
     if not isinstance(prob, families):
         raise ValueError(f"solver {name} cannot run on a {type(prob).__name__}")
+    return label
+
+
+def _check_distinct(name, values):
+    """Reject a value that occurs twice: two seed runs would share a CSV name."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} must be distinct, got {value!r} twice")
 
 
 def cmd_run(config, out_dir):
     """Run every solver of the config on each seed; write the traces and a summary.
 
-    Every config-level value is checked before the reference solve, and each
-    solver's own parameters in that solver before it spends a query.
+    Every config-level value is checked before the reference solve, labels
+    and seeds distinct among them, and each solver's own parameters in that
+    solver before it spends a query. trace_stride and budget become
+    `_drive`'s run options here, for the sweep trials and the seed runs alike.
     """
     prob = build_problem(_typed("config", config, dict).get("problem"))
     reg_spec = _typed("regularizer", config.get("regularizer", {"kind": "zero"}), dict)
     reg = make_regularizer(reg_spec.get("kind"), reg_spec.get("lambda", 0.0))
     budget = _typed("budget", config.get("budget", {}), dict)
-    stride = config.get("trace_stride", 1)
-    solvers.check_run_options(stride, budget.get("max_queries"), budget.get("max_wall_s"))
+    run = {"trace_stride": config.get("trace_stride", 1),
+           "budget_queries": budget.get("max_queries"),
+           "budget_wall_s": budget.get("max_wall_s")}
+    solvers.check_run_options(**run)
     seeds = _typed("seeds", config.get("seeds"), list)
     if not seeds:
         raise ValueError("seeds must not be empty")
     for seed in seeds:
         check_int("seed", seed, 0)
+    _check_distinct("seeds", seeds)
     specs = _typed("solvers", config.get("solvers", []), list)
-    for spec in specs:
-        _check_solver_spec(spec, prob)
+    labels = [_check_solver_spec(spec, prob) for spec in specs]
+    _check_distinct("labels", labels)
 
     x_star, residual, ref_eta = compute_reference(
         prob, reg, _typed("reference", config.get("reference", {}), dict)
@@ -230,30 +264,17 @@ def cmd_run(config, out_dir):
         warnings.warn("reference optimum is the start point (zeros): every run "
                       "starts at its optimum, and its gap column is zero")
 
-    for spec in specs:
+    for spec, label in zip(specs, labels):
         spec = dict(spec)
-        label = spec.get("label", spec["name"])
         key = _solver(spec["name"])[0]
         if spec.get(key) == "tune":
-            spec[key] = tune_step_size(
-                spec, prob, reg, seeds[0], budget, x_star, stride
-            )
+            spec[key] = tune_step_size(spec, prob, reg, seeds[0], x_star, run)
         for seed in seeds:
-            entry = {"label": label, "solver": spec["name"], "seed": seed,
-                     key: spec.get(key)}
-            try:
-                res = _run_one(spec, prob, reg, seed, budget, x_star, stride)
-                trace, counter = res.trace, res.counter
-                entry["diverged"] = False
-                entry["final_gap"] = trace[-1].gap
-            except solvers.DivergedError as err:
-                trace, counter = err.trace, err.counter
-                entry["diverged"] = True
-            entry["total_queries"] = counter.total
+            fields, trace = _outcome(spec, prob, reg, seed, x_star, run)
             csv_path = out_dir / f"{label}_seed{seed}.csv"
             write_trace_csv(csv_path, trace)
-            entry["trace"] = csv_path.name
-            summary["runs"].append(entry)
+            summary["runs"].append({"label": label, "solver": spec["name"], "seed": seed,
+                                    key: spec.get(key), **fields, "trace": csv_path.name})
 
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -151,6 +151,17 @@ MALFORMED = [
     _case(_edit("solvers", 0, "name", value="gradient_descent_deluxe"), ValueError,
           "name: 'gradient_descent_deluxe'", "solver_name_unknown"),
     _case(_edit("solvers", 0, "label", value=5), TypeError, "^label must", "label_not_string"),
+    _case(_edit("solvers", 0, "label", value="runs/vr"), ValueError,
+          "^label must not contain a path separator, got 'runs/vr'", "label_with_slash"),
+    _case(_edit("solvers", 0, "label", value="runs\\vr"), ValueError,
+          "^label must not contain a path separator", "label_with_backslash"),
+    _case(lambda cfg: _edit("solvers", value=[
+              {k: v for k, v in cfg["solvers"][0].items() if k != "label"}] * 2)(cfg),
+          ValueError, "^labels must be distinct, got 'vrsc_pg' twice", "labels_repeated"),
+    _case(lambda cfg: _edit("solvers", value=[
+              {k: v for k, v in cfg["solvers"][0].items() if k != "label"},
+              {"name": "scpg", "label": "vrsc_pg", "alpha0": 0.05}])(cfg),
+          ValueError, "^labels must be distinct, got 'vrsc_pg' twice", "label_repeats_default"),
     _case(_edit("solvers", 0, "eta", value="fast"), TypeError, "^eta must",
           "eta_neither_number_nor_tune"),
     _case(_edit("solvers", 0, "eta", value=0.0), ValueError, "^eta must", "eta_zero"),
@@ -192,6 +203,8 @@ MALFORMED = [
     _case(_edit("seeds", value=[0, 1.5]), TypeError, "^seed must", "seed_not_int"),
     _case(_edit("seeds", value=[True]), TypeError, "^seed must", "seed_bool"),
     _case(_edit("seeds", value=[-1]), ValueError, "^seed must", "seed_negative"),
+    _case(_edit("seeds", value=[0, 1, 0]), ValueError, "^seeds must be distinct, got 0 twice",
+          "seeds_repeated"),
     _case(_edit("budget", value=5), TypeError, "^budget must", "budget_not_object"),
     _case(_edit("budget", "max_queries", value=0), ValueError, "^budget_queries must",
           "max_queries_zero"),
@@ -385,6 +398,21 @@ class TestCmdRun:
             assert e["total_queries"] >= (last["q_inner_val"] + last["q_inner_jac"]
                                           + last["q_outer_grad"]) > 0
 
+    @pytest.mark.parametrize("reference, lipschitz, source", [
+        ({"eta": 100.0}, None, r"100 \(from reference\.eta\)"),
+        ({}, 1e-3, r"1000 \(from the Lipschitz estimate\)"),
+    ], ids=["reference_eta", "lipschitz_estimate"])
+    def test_diverged_reference_solve_named(self, reference, lipschitz, source, tmp_path,
+                                            monkeypatch):
+        cfg = small_config(tmp_path)
+        cfg["reference"] = {"iters": 1000, **reference}
+        if lipschitz is not None:
+            monkeypatch.setattr(cli, "estimate_lipschitz", lambda problem: lipschitz)
+        with pytest.raises(RuntimeError, match="^the reference solve diverged at step size "
+                                               + source):
+            cli.cmd_run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_tune_selects_converging_step(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[
             {"name": "vrsc_pg", "label": "vr", "eta": "tune", "m": 10,
@@ -404,9 +432,22 @@ class TestCmdRun:
         assert type(err.value) is RuntimeError
         assert str(err.value) == "every step size in the grid diverged for vrsc_pg"
 
-    @pytest.mark.parametrize("extra, trial_budget", [({"tune_queries": 500}, 500), ({}, 600)],
-                             ids=["tune_queries", "fifth_of_budget"])
-    def test_tune_trial_budget(self, extra, trial_budget, monkeypatch):
+    def test_tune_raises_when_no_trial_takes_a_step(self, tmp_path):
+        # a trial of 50 // 5 = 10 queries is below one snapshot, n1 + 2 n2 = 20
+        cfg = small_config(tmp_path, solvers=[
+            {"name": "vrsc_pg", "label": "vr", "eta": "tune", "m": 10,
+             "S_epochs": 50, "A": 3, "B": 3, "b1": 3},
+        ], budget=50)
+        with pytest.raises(RuntimeError, match="^no trial of the step-size sweep for "
+                                               "vrsc_pg took a step"):
+            cli.cmd_run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("extra, budget_queries, trial_budget",
+                             [({"tune_queries": 500}, 3000, 500), ({}, 3000, 600),
+                              ({"tune_queries": 100}, None, 100)],
+                             ids=["tune_queries", "fifth_of_budget", "tune_queries_no_budget"])
+    def test_tune_trial_budget(self, extra, budget_queries, trial_budget, monkeypatch):
         prob, reg = gen_linquad(8, 6, 5, 4, RngStream(3)), L1Penalty(1e-3)
         x_star = prox_full_gradient(prob, reg, 0.1, 50_000, tol=1e-13).x_final
         spec = {"name": "vrsc_pg", "m": 10, "S_epochs": 50, "A": 3, "B": 3, "b1": 3,
@@ -419,7 +460,8 @@ class TestCmdRun:
             return res
 
         monkeypatch.setattr(solvers, "vrsc_pg", spy)
-        cli.tune_step_size(spec, prob, reg, 0, {"max_queries": 3000}, x_star, 5)
+        run = {"trace_stride": 5, "budget_queries": budget_queries, "budget_wall_s": None}
+        cli.tune_step_size(spec, prob, reg, 0, x_star, run)
         assert len(spent) == 2
         for budget, total in spent:  # at most one step, 2(A + B + b1), over
             assert budget == trial_budget and total <= trial_budget + 18
@@ -430,7 +472,7 @@ class TestCmdRun:
         spec = {"name": "prox_full_gradient", "eta": "tune", "iters": 5,
                 "eta_grid": [0.1, 0.01]}
         with pytest.raises(ValueError, match="needs a reference optimum"):
-            cli.tune_step_size(spec, prob, L1Penalty(1e-3), 0, {}, None, 5)
+            cli.tune_step_size(spec, prob, L1Penalty(1e-3), 0, None, {"trace_stride": 5})
 
 
 class TestCmdPlot:
