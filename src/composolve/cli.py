@@ -224,6 +224,8 @@ def cmd_run(config, out_dir):
     and seeds distinct among them, and each solver's own parameters in that
     solver before it spends a query. trace_stride and budget become
     `_drive`'s run options here, for the sweep trials and the seed runs alike.
+    Every step-size sweep runs before out_dir is made, so a failed sweep
+    leaves no output behind; the sweeps write nothing.
     """
     prob = build_problem(_typed("config", config, dict).get("problem"))
     reg_spec = _typed("regularizer", config.get("regularizer", {"kind": "zero"}), dict)
@@ -246,6 +248,20 @@ def cmd_run(config, out_dir):
     x_star, residual, ref_eta = compute_reference(
         prob, reg, _typed("reference", config.get("reference", {}), dict)
     )
+    if residual > 1e-7:
+        warnings.warn(
+            f"reference optimum unverified: gradient-mapping norm {residual:.2e}"
+        )
+    elif not x_star.any():
+        warnings.warn("reference optimum is the start point (zeros): every run "
+                      "starts at its optimum, and its gap column is zero")
+
+    specs = [dict(spec) for spec in specs]
+    for spec in specs:
+        key = _solver(spec["name"])[0]
+        if spec.get(key) == "tune":
+            spec[key] = tune_step_size(spec, prob, reg, seeds[0], x_star, run)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "config": config,
@@ -256,19 +272,9 @@ def cmd_run(config, out_dir):
         "reference_eta": ref_eta,
         "runs": [],
     }
-    if residual > 1e-7:
-        warnings.warn(
-            f"reference optimum unverified: gradient-mapping norm {residual:.2e}"
-        )
-    elif not x_star.any():
-        warnings.warn("reference optimum is the start point (zeros): every run "
-                      "starts at its optimum, and its gap column is zero")
 
     for spec, label in zip(specs, labels):
-        spec = dict(spec)
         key = _solver(spec["name"])[0]
-        if spec.get(key) == "tune":
-            spec[key] = tune_step_size(spec, prob, reg, seeds[0], x_star, run)
         for seed in seeds:
             fields, trace = _outcome(spec, prob, reg, seed, x_star, run)
             csv_path = out_dir / f"{label}_seed{seed}.csv"

@@ -254,6 +254,27 @@ class PortfolioProblem(AffineInnerProblem):
     def mean_inner_vjp(self, jac, v):
         return v[: self.dim_x] + v[self.dim_x] * jac
 
+    # The two minibatch means of a step gather their k reward rows once and
+    # build no (k, N+1) stack; ndarray.dot costs less than @ on these sizes.
+    def inner_value_diff_mean(self, js, x_tilde, x):
+        # G_j(x_tilde) - G_j(x) = (d, <r_j, d>) with d = x_tilde - x
+        out = np.empty(self.dim_y)
+        d = np.subtract(x_tilde, x, out=out[: self.dim_x])
+        out[self.dim_x] = self.rewards.take(js, axis=0).dot(d).sum() / len(js)
+        return out
+
+    def outer_gradient_mean(self, is_, y):
+        # ((t - 1)^T R_I, -sum t) / k with t = 2 (R_I w - z), in place
+        r = self.rewards.take(is_, axis=0)
+        t = r.dot(y[: self.dim_x])
+        t -= y[self.dim_x]
+        t *= 2.0
+        out = np.empty(self.dim_y)
+        out[self.dim_x] = -t.sum() / len(is_)
+        t -= 1.0
+        np.divide(t.dot(r), len(is_), out=out[: self.dim_x])
+        return out
+
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""
         d = self.rewards @ x

@@ -443,6 +443,19 @@ class TestCmdRun:
             cli.cmd_run(cfg, tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_failed_sweep_leaves_no_output_directory(self, tmp_path):
+        # the fixed-step solver comes first, so its seed runs would have
+        # written their CSVs had the second solver's sweep run after them
+        cfg = small_config(tmp_path, solvers=[
+            {"name": "vrsc_pg", "label": "fixed", "eta": 0.05, "m": 10,
+             "S_epochs": 50, "A": 3, "B": 3, "b1": 3},
+            {"name": "vrsc_pg", "label": "tuned", "eta": "tune", "m": 10,
+             "S_epochs": 50, "A": 3, "B": 3, "b1": 3},
+        ], budget=50)
+        with pytest.raises(RuntimeError, match="^no trial of the step-size sweep"):
+            cli.cmd_run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra, budget_queries, trial_budget",
                              [({"tune_queries": 500}, 3000, 500), ({}, 3000, 600),
                               ({"tune_queries": 100}, None, 100)],

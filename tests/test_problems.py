@@ -22,6 +22,7 @@ from composolve.problems import (
     problem_to_dict,
     save_problem,
 )
+from composolve.solvers import compute_snapshot, estimate_inner_value
 from test_solvers import QuarticOuterProblem, TanhInnerProblem
 
 
@@ -302,6 +303,47 @@ class TestPortfolioEmbedding:
     def test_nonpositive_reward_rejected(self):
         with pytest.raises(ValueError):
             PortfolioProblem(np.array([[1.0, -0.1]]))
+
+
+def desk_portfolio():
+    """The instance of configs/portfolio_desk.json."""
+    return generate_problem({"kind": "portfolio", "n": 200, "N": 50, "kappa_cov": 2,
+                             "seed": 1})
+
+
+class TestPortfolioClosedForms:
+    """The two minibatch means of a `vrsc_pg` step against the generic defaults."""
+
+    @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
+                             ids=["small", "desk"])
+    @pytest.mark.parametrize("idx", [[5], [3, 0, 3, 5, 3]])  # repeats included
+    def test_match_the_generic_defaults(self, maker, idx):
+        prob, idx = maker(), np.array(idx)
+        rng = RngStream(26)
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            y = rng.normal(size=prob.dim_y)
+            for got, want in (
+                (prob.inner_value_diff_mean(idx, x_tilde, x),
+                 CompositionProblem.inner_value_diff_mean(prob, idx, x_tilde, x)),
+                (prob.outer_gradient_mean(idx, y),
+                 CompositionProblem.outer_gradient_mean(prob, idx, y)),
+            ):
+                assert got.shape == (prob.dim_y,)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
+                             ids=["small", "desk"])
+    def test_inner_value_estimate_exact_at_the_snapshot(self, maker):
+        prob = maker()
+        rng = RngStream(27)
+        for k in (1, 5):
+            x = rng.normal(size=prob.dim_x)
+            snap = compute_snapshot(prob, x)
+            js = rng.integers(prob.n2, size=k)
+            diff = prob.inner_value_diff_mean(js, x, x.copy())
+            assert not diff.any()
+            assert np.array_equal(estimate_inner_value(snap, prob, x.copy(), js), snap.G_s)
 
 
 def column_gather_inner_value(prob, js, x):

@@ -54,3 +54,18 @@ def test_counts_must_match_exactly():
         report = replay.diff(fingerprints(), b, 1.0)
         assert report["structure"].startswith("a #0 scpg_baseline")
         assert not report["within_bound"]
+
+
+def test_gap_change_reported_against_the_objective():
+    # a gap of 1e-8 that moves by 1e-20 changes by 1e-12 of itself, and by
+    # 1e-20 / 1.5 of its row's objective; the exit decision reads only the former
+    a, b = fingerprints(), fingerprints()
+    for doc in (a, b):
+        doc["calls"][1]["rows"][1][6] = 1e-8
+    b["calls"][1]["rows"][1][6] = 1e-8 + 1e-20
+    report = replay.diff(a, b, 1e-13)
+    assert report["gap_per_objective"] == {"scpg_baseline": 0.0,
+                                           "vrsc_pg": abs(b["calls"][1]["rows"][1][6] - 1e-8) / 1.5}
+    assert report["largest"]["field"] == "rows[1].gap"
+    assert not report["within_bound"]
+    assert replay.diff(a, b, 1e-11)["within_bound"]

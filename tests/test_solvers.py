@@ -656,6 +656,49 @@ class TestDivergence:
         assert counter.total > err.value.trace[-1].queries
 
 
+def stub_steps(iterates):
+    """A `_drive` steps generator that spends one inner-value query per step and
+    yields the given iterates in turn."""
+
+    def steps(cp, x, room):
+        for t, x in enumerate(iterates):
+            cp.inner_value_batch(np.array([0]), x)
+            yield 0, t + 1, x
+
+    return steps
+
+
+class TestFiniteCheck:
+    """The loop's one-call check on each iterate, between recorded rows."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_non_finite_entry_ends_the_run(self, bad, pos):
+        prob = linquad()
+        rng = RngStream(40)
+        finite = [rng.normal(size=prob.dim_x) for _ in range(3)]
+        x_bad = rng.normal(size=prob.dim_x)
+        x_bad[pos] = bad
+        # stride 2 records the start row and the second step's row
+        with pytest.raises(DivergedError, match="non-finite iterate") as err:
+            solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps([*finite, x_bad]),
+                           trace_stride=2)
+        assert err.value.counter.snapshot() == (4, 0, 0)
+        assert [(r.inner_iter, r.q_inner_val) for r in err.value.trace] == [(0, 0), (2, 2)]
+        assert err.value.x_last is x_bad
+
+    def test_huge_finite_entries_pass(self):
+        # 1e300 * 0 is 0: the iterate passes the loop's check; a trace row at it
+        # would overflow the objective, so the stride skips it
+        prob = linquad()
+        x_huge = np.array([1e300, -1e300, 0.0, 1e300, -1e300])
+        x_last = np.full(prob.dim_x, 0.5)
+        res = solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps([x_huge, x_last]),
+                             trace_stride=10**9)
+        assert res.n_iters == 2 and res.x_final is x_last
+        assert res.counter.snapshot() == (2, 0, 0)
+
+
 # -- the per-step draws that the block draws replace, as test-only references --
 
 

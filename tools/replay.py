@@ -19,9 +19,14 @@ no counter is recorded with its own copy of this tool.
 
 `--diff` prints, as JSON, the first call and field that differ and the
 largest relative change, overall and per solver: |a - b| / |a| for a row
-value, max |a - b| / max |a| for x_final. It exits 1 when the calls,
+value, max |a - b| / max |a| for x_final. Per solver it also prints the
+largest change of any row's gap relative to that row's objective,
+|gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
+gap is a difference of two close objectives, so its own relative change can
+be large while the objectives move by rounding. It exits 1 when the calls,
 iteration counts, query triples, divergence or row counts differ, or
-when a value moves by more than --bound (default 0, bitwise).
+when a value moves by more than --bound (default 0, bitwise);
+`gap_per_objective` does not enter that decision.
 """
 
 import argparse
@@ -107,11 +112,13 @@ def record(root):
     return {"fields": fields, "calls": calls}
 
 
-def _rel(a, b):
-    """Relative change from a to b; NaN against NaN is no change."""
+def _rel(a, b, scale=None):
+    """Change from a to b relative to |scale|, by default |a|; NaN against NaN
+    is no change."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    return abs(a - b) / abs(a) if a else math.inf
+    scale = a if scale is None else scale
+    return abs(a - b) / abs(scale) if scale else math.inf
 
 
 def _rel_vec(xa, xb):
@@ -124,7 +131,8 @@ def _rel_vec(xa, xb):
 def diff(doc_a, doc_b, bound):
     """The comparison report of two fingerprint documents."""
     report = {"calls": len(doc_a["calls"]), "structure": None, "first_difference": None,
-              "largest": {"rel": 0.0, "call": None, "field": None}, "per_solver": {}}
+              "largest": {"rel": 0.0, "call": None, "field": None}, "per_solver": {},
+              "gap_per_objective": {}}
     names_a = [c["call"] for c in doc_a["calls"]]
     names_b = [c["call"] for c in doc_b["calls"]]
     if doc_a["fields"] != doc_b["fields"] or names_a != names_b:
@@ -132,6 +140,7 @@ def diff(doc_a, doc_b, bound):
         report["within_bound"] = False
         return report
     fields = doc_a["fields"]
+    gap, objective = fields.index("gap"), fields.index("objective")
 
     def note(call, field, a, b, rel):
         if rel and report["first_difference"] is None:
@@ -153,6 +162,10 @@ def diff(doc_a, doc_b, bound):
         same = ca["x_sha"] == cb["x_sha"]
         note(ca, "x_final", ca["x_sha"], cb["x_sha"],
              0.0 if same else _rel_vec(ca["x_final"], cb["x_final"]))
+        worst = report["gap_per_objective"].get(ca["solver"], 0.0)
+        for ra, rb in zip(ca["rows"], cb["rows"]):
+            worst = max(worst, _rel(ra[gap], rb[gap], ra[objective]))
+        report["gap_per_objective"][ca["solver"]] = worst
         for i, (ra, rb) in enumerate(zip(ca["rows"], cb["rows"])):
             for field, a, b in zip(fields, ra, rb):
                 if field in EXACT_FIELDS and a != b:
