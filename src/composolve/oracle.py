@@ -50,7 +50,8 @@ class CountedCompositionProblem(CompositionProblem):
     variance-reduced step: a paired difference over js costs 2 len(js)
     queries of its kind, a mean outer gradient over is_ len(is_), whether
     the class evaluates them or, as for the zero Jacobian correction of an
-    affine class, not. The product with the mean Jacobian reuses what
+    affine class, not. A two-timescale step over js and is_ costs one query
+    of each kind per index. The product with the mean Jacobian reuses what
     `full_inner_jacobian` paid for and costs nothing.
     """
 
@@ -107,6 +108,10 @@ class CountedCompositionProblem(CompositionProblem):
     def outer_gradient_mean(self, is_, y):
         self.counter.add(outer_gradient=len(is_))
         return self._problem.outer_gradient_mean(is_, y)
+
+    def tracking_step(self, js, is_, x, y, beta):
+        self.counter.add(len(js), len(js), len(is_))
+        return self._problem.tracking_step(js, is_, x, y, beta)
 
 
 class CountedFiniteSumProblem(FiniteSumProblem):

@@ -22,6 +22,8 @@ default built from them, which a subclass may override with a closed form
   x, u)` and `outer_gradient_mean(is_, y)`: the minibatch means a
   variance-reduced step takes, the first two of paired differences
   (`paired_diff_mean`).
+- `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
+  gradient estimate of one two-timescale step, at one index each.
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
@@ -141,6 +143,15 @@ class CompositionProblem:
     def outer_gradient_mean(self, is_, y):
         """mean_i grad F_i(y) over is_, shape (M,); len(is_) outer-gradient queries."""
         return self.outer_gradient_batch(is_, y).sum(axis=0) / len(is_)
+
+    # -- one two-timescale step ----------------------------------------------------
+
+    def tracking_step(self, js, is_, x, y, beta):
+        """(y_new, v) with y_new = (1 - beta) y + beta G_j(x) and
+        v = J_j(x)^T grad F_i(y_new), for js and is_ of one index each; one
+        query of each kind."""
+        y = (1.0 - beta) * y + beta * self.inner_value_batch(js, x)[0]
+        return y, self.inner_vjp_batch(js, x, self.outer_gradient_batch(is_, y)[0])[0]
 
     def full_pass(self, x):
         """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries.
@@ -274,6 +285,30 @@ class PortfolioProblem(AffineInnerProblem):
         t -= 1.0
         np.divide(t.dot(r), len(is_), out=out[: self.dim_x])
         return out
+
+    def tracking_step(self, js, is_, x, y, beta):
+        # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
+        # with t = 2 (r_i.w - z) at y_new = (w, z): the generic step's element
+        # operations on the rows r_j and r_i read in place, and its products,
+        # since numpy reduces a (1, N) @ (N,) product with the kernel of a
+        # dot of two vectors; so bitwise equal, with no (1, N+1) stack
+        n = self.dim_x
+        r_j, r_i = self.rewards[js[0]], self.rewards[is_[0]]
+        y = (1.0 - beta) * y
+        y[:n] += beta * x
+        y[n] += beta * r_j.dot(x)
+        t = 2.0 * (r_i.dot(y[:n]) - y[n])
+        return y, (t - 1.0) * r_i + (-t) * r_j
+
+    def objective_and_gradient(self, x):
+        # d = R w is formed once, for the outer values and for the mean outer
+        # gradient; the generic row's element operations, so bitwise equal
+        g_bar = self.full_inner_value(x)
+        z = g_bar[self.dim_x]
+        d = self.rewards @ g_bar[: self.dim_x]
+        t = 2.0 * (d - z)
+        grad = (t - 1.0) @ self.rewards / self.n1 + (-t.mean()) * self.r_bar
+        return float((-d + (d - z) ** 2).mean()), grad
 
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""

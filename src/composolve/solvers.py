@@ -269,7 +269,8 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
 
     Tracks the inner value with the auxiliary average
     y_{t+1} = (1 - beta_t) y_t + beta_t G_j(x_t) and takes decaying-step
-    proximal updates; 3 oracle queries per iteration. Steps decay as
+    proximal updates along J_j(x_t)^T grad F_i(y_{t+1}), both from one
+    `tracking_step` call; 3 oracle queries per iteration. Steps decay as
     alpha_t = alpha0 / (1+t)^exp_alpha and beta_t = beta0 / (1+t)^exp_beta.
     `run`: the run options of `_drive`.
     """
@@ -288,10 +289,8 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
             alpha_t = alpha0 / (1.0 + t) ** exp_alpha
             beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
             j, i = next(draws)
-            g_j = cp.inner_value_batch(j, x)[0]
-            y = (1.0 - beta_t) * y + beta_t * g_j
-            grad_i = cp.outer_gradient_batch(i, y)[0]
-            x = reg.prox(x - alpha_t * cp.inner_vjp_batch(j, x, grad_i)[0], alpha_t)
+            y, v = cp.tracking_step(j, i, x, y, beta_t)
+            x = reg.prox(x - alpha_t * v, alpha_t)
             yield 0, t + 1, x
 
     return _drive(problem, reg, alpha0, steps, **run)

@@ -235,6 +235,7 @@ def check_counting_transparency():
             y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
             x_tilde = rng.normal(size=prob.dim_x)
             table = (
+                ("tracking_step", (js[:1], js[1:2], x, y, 0.3), (1, 1, 1)),
                 ("full_gradient", (x,), (n2, n2, n1)),
                 ("full_pass", (x,), (n2, n2, n1)),
                 ("objective_and_gradient", (x,), (n2, n2, n1)),
@@ -263,7 +264,9 @@ def check_counting_transparency():
 def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
     within 1e-13 of the default's largest entry (exactly, where the default
-    is zero), for every class; the paired differences at x != x_tilde. The mean
+    is zero), for every class, part by part where it returns a tuple; the
+    paired differences at x != x_tilde, and the two-timescale step at j != i
+    with both terms of its average nonzero. The mean
     Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
     to a dense v, to a v with two nonzeros per half (at S = 24 policy
     evaluation gathers for it) and to every unit vector, against the dense mean."""
@@ -273,6 +276,10 @@ def check_closed_forms_match_generic():
 
     def compare(label, fast, generic):
         nonlocal worst, where
+        if isinstance(generic, tuple):
+            for k, parts in enumerate(zip(fast, generic, strict=True)):
+                compare(f"{label}[{k}]", *parts)
+            return
         fast, generic = np.asarray(fast), np.asarray(generic)
         scale = max(float(np.max(np.abs(generic))), np.finfo(float).tiny)
         err = math.inf if fast.shape != generic.shape else float(
@@ -292,7 +299,9 @@ def check_closed_forms_match_generic():
                            ("inner_vjp_batch", (js, x, u)),
                            ("inner_value_diff_mean", (js, x_tilde, x)),
                            ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
-                           ("outer_gradient_mean", (js, y))):
+                           ("outer_gradient_mean", (js, y)),
+                           ("tracking_step", (js[3:], js[1:2], x, y, 0.3)),
+                           ("objective_and_gradient", (x,))):
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
         jac, dense = prob.full_inner_jacobian(x), base.full_inner_jacobian(prob, x)

@@ -88,6 +88,11 @@ class TestCounter:
             )
             after = counter.snapshot()
             assert tuple(b - a for a, b in zip(before, after)) == (0, len(js), 0)
+            # one two-timescale step: one index each, one query of each kind
+            y, j, i = rng.normal(size=problem.dim_y), js[3:], js[1:2]
+            step = cp.tracking_step(j, i, x, y, 0.4)
+            assert all(map(np.array_equal, step, problem.tracking_step(j, i, x, y, 0.4)))
+            assert tuple(b - a for a, b in zip(after, counter.snapshot())) == (1, 1, 1)
 
 
 class TestCostFormulas:

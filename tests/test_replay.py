@@ -69,3 +69,26 @@ def test_gap_change_reported_against_the_objective():
     assert report["largest"]["field"] == "rows[1].gap"
     assert not report["within_bound"]
     assert replay.diff(a, b, 1e-11)["within_bound"]
+
+
+def test_a_value_that_turns_nan_is_an_infinite_change():
+    # NaN compares false with everything, so a plain max or > would drop it
+    def gap(call, row, value):
+        call["rows"][row][6] = value
+
+    for a_gap, b_gap in ((0.5, float("nan")), (float("nan"), 0.5)):
+        a, b = fingerprints(), fingerprints()
+        gap(a["calls"][1], 1, a_gap)
+        gap(b["calls"][1], 1, b_gap)
+        report = replay.diff(a, b, 0.0)
+        assert not report["within_bound"]
+        assert report["largest"] == {"rel": float("inf"), "call": "a #1 vrsc_pg",
+                                     "field": "rows[1].gap"}
+        assert report["per_solver"]["vrsc_pg"] == float("inf")
+        assert report["gap_per_objective"]["vrsc_pg"] == float("inf")
+    a, b = fingerprints(), fingerprints()
+    a["calls"][0]["x_final"] = [float("nan"), -2.0]
+    b["calls"][0]["x_final"] = [float("nan"), -2.0 + 2.0**-51]
+    b["calls"][0]["x_sha"] = "moved"
+    report = replay.diff(a, b, 1.0)
+    assert report["largest"]["rel"] == float("inf") and not report["within_bound"]

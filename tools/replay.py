@@ -19,7 +19,9 @@ no counter is recorded with its own copy of this tool.
 
 `--diff` prints, as JSON, the first call and field that differ and the
 largest relative change, overall and per solver: |a - b| / |a| for a row
-value, max |a - b| / max |a| for x_final. Per solver it also prints the
+value, max |a - b| / max |a| for x_final; a value that turns NaN or stops
+being NaN changes by inf, as does any entry of an x_final that holds a NaN
+or an infinity. Per solver it also prints the
 largest change of any row's gap relative to that row's objective,
 |gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
 gap is a difference of two close objectives, so its own relative change can
@@ -113,19 +115,22 @@ def record(root):
 
 
 def _rel(a, b, scale=None):
-    """Change from a to b relative to |scale|, by default |a|; NaN against NaN
-    is no change."""
+    """Change from a to b relative to |scale|, by default |a|. NaN against NaN
+    is no change; a change with no finite size (a value that turns NaN or stops
+    being NaN, one to or from an infinity, or one against a zero or non-finite
+    scale) is an infinite one, so that no comparison or max drops it."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    scale = a if scale is None else scale
-    return abs(a - b) / abs(scale) if scale else math.inf
+    scale = abs(a if scale is None else scale)
+    rel = abs(a - b) / scale if 0.0 < scale < math.inf else math.inf
+    return math.inf if math.isnan(rel) else rel
 
 
 def _rel_vec(xa, xb):
-    """Largest change from xa to xb, relative to xa's largest entry."""
-    change = max(abs(a - b) for a, b in zip(xa, xb))
-    scale = max(map(abs, xa))
-    return change / scale if math.isfinite(change) and scale else math.inf
+    """Largest change from xa to xb, relative to xa's largest entry; any change
+    of an iterate with a non-finite entry is an infinite one."""
+    scale = max(map(abs, xa)) if all(map(math.isfinite, xa)) else math.inf
+    return max(_rel(a, b, scale) for a, b in zip(xa, xb))
 
 
 def diff(doc_a, doc_b, bound):
