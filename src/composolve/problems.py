@@ -416,6 +416,25 @@ class PolicyEvalProblem(AffineInnerProblem):
         np.subtract(0.0, out[:s], out=out[s:])
         return out
 
+    def tracking_step(self, js, is_, x, y, beta):
+        # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
+        # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
+        # plus gamma S P[i, j] (-g) at j (after g where j = i). The generic
+        # step's element operations in its order, on the rows of P^T and R^T
+        # read in place; its P^T[j] @ u[S:] is that one product plus exact
+        # zeros, so bitwise equal, with no (1, 2S) stack
+        s = self.n_states
+        j, i = js[0], is_[0]
+        p_j = self._pt[j]
+        y = (1.0 - beta) * y
+        y[:s] += beta * x
+        y[s:] += beta * (s * p_j * (self._rt[j] + self.gamma * x[j]))
+        g = 2.0 * (y[i] - y[s + i])
+        v = np.zeros(s)
+        v[i] = g
+        v[j] += self.gamma * s * (p_j[i] * -g)
+        return y, v
+
     def full_inner_value(self, x):
         x = self._check_x(x)
         return np.concatenate([x, self.bellman_operator(x)])

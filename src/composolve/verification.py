@@ -265,8 +265,9 @@ def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
     within 1e-13 of the default's largest entry (exactly, where the default
     is zero), for every class, part by part where it returns a tuple; the
-    paired differences at x != x_tilde, and the two-timescale step at j != i
-    with both terms of its average nonzero. The mean
+    paired differences at x != x_tilde, and the two-timescale step with both
+    terms of its average nonzero, at j != i and at j = i (where policy
+    evaluation's v puts both of its terms on one entry). The mean
     Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
     to a dense v, to a v with two nonzeros per half (at S = 24 policy
     evaluation gathers for it) and to every unit vector, against the dense mean."""
@@ -301,6 +302,7 @@ def check_closed_forms_match_generic():
                            ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
                            ("outer_gradient_mean", (js, y)),
                            ("tracking_step", (js[3:], js[1:2], x, y, 0.3)),
+                           ("tracking_step", (js[:1], js[2:3], x, y, 0.3)),
                            ("objective_and_gradient", (x,))):
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))

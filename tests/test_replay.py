@@ -92,3 +92,25 @@ def test_a_value_that_turns_nan_is_an_infinite_change():
     b["calls"][0]["x_sha"] = "moved"
     report = replay.diff(a, b, 1.0)
     assert report["largest"]["rel"] == float("inf") and not report["within_bound"]
+
+
+def test_a_zero_whose_sign_flips_is_the_least_change():
+    # 0.0 == -0.0, so only the sign bit or the sha shows the change
+    a, b = fingerprints(), fingerprints()
+    a["calls"][0]["x_final"] = [0.0, -2.0]
+    b["calls"][0]["x_final"] = [-0.0, -2.0]
+    b["calls"][0]["x_sha"] = "moved"
+    report = replay.diff(a, b, 0.0)
+    assert not report["within_bound"]
+    assert report["first_difference"]["field"] == "x_final"
+    assert report["largest"] == {"rel": replay.LEAST_CHANGE, "call": "a #0 scpg_baseline",
+                                 "field": "x_final"}
+    assert replay.diff(a, b, 1e-300)["within_bound"]
+    a, b = fingerprints(), fingerprints()
+    a["calls"][1]["rows"][0][8] = 0.0
+    b["calls"][1]["rows"][0][8] = -0.0
+    report = replay.diff(a, b, 0.0)
+    assert not report["within_bound"]
+    assert report["first_difference"] == {"call": "a #1 vrsc_pg", "field": "rows[0].composite_grad_sq",
+                                          "a": 0.0, "b": -0.0}
+    assert report["per_solver"] == {"scpg_baseline": 0.0, "vrsc_pg": replay.LEAST_CHANGE}

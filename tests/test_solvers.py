@@ -474,12 +474,16 @@ class TestScpgBaseline:
         )
         assert res.counter.snapshot() == (25, 25, 25)
 
-    # every composition class, the portfolio also at the desk's size
+    # every composition class; the portfolio also at the desk's size, policy
+    # evaluation also at the benchmark's S = 400 and at S = 3, where j = i on
+    # about a third of the steps and its v puts both terms on one entry
     STEP_PROBLEMS = {
         "portfolio": lambda: PortfolioProblem(gen_gaussian_rewards(15, 6, 2.0, RngStream(26))),
         "portfolio_desk": lambda: PortfolioProblem(
             gen_gaussian_rewards(200, 50, 2.0, RngStream(27))),
         "policy_eval": policy_eval,
+        "policy_eval_s400": lambda: policy_eval(seed=28, n_states=400),
+        "policy_eval_s3": lambda: policy_eval(seed=29, n_states=3),
         "linquad": lambda: linquad(n1=7, n2=9),
     }
 

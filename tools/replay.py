@@ -21,7 +21,10 @@ no counter is recorded with its own copy of this tool.
 largest relative change, overall and per solver: |a - b| / |a| for a row
 value, max |a - b| / max |a| for x_final; a value that turns NaN or stops
 being NaN changes by inf, as does any entry of an x_final that holds a NaN
-or an infinity. Per solver it also prints the
+or an infinity. A change that moves no value, a zero whose sign flips or an
+x_final whose sha256 differs with every entry equal, is sized 5e-324 (the
+least positive double): it is a difference, and fails --bound 0 but no
+positive bound. Per solver it also prints the
 largest change of any row's gap relative to that row's objective,
 |gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
 gap is a difference of two close objectives, so its own relative change can
@@ -45,6 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # Trace fields that must match exactly; the others are floats, compared
 # by relative change.
 EXACT_FIELDS = ("epoch", "inner_iter", "q_inner_val", "q_inner_jac", "q_outer_grad")
+
+# The size of a change that moves no value, such as a zero whose sign flips.
+LEAST_CHANGE = 5e-324
 
 
 def record(root):
@@ -116,11 +122,14 @@ def record(root):
 
 def _rel(a, b, scale=None):
     """Change from a to b relative to |scale|, by default |a|. NaN against NaN
-    is no change; a change with no finite size (a value that turns NaN or stops
-    being NaN, one to or from an infinity, or one against a zero or non-finite
-    scale) is an infinite one, so that no comparison or max drops it."""
-    if a == b or (math.isnan(a) and math.isnan(b)):
+    is no change, and a zero whose sign flips is the least one; a change with
+    no finite size (a value that turns NaN or stops being NaN, one to or from
+    an infinity, or one against a zero or non-finite scale) is an infinite one,
+    so that no comparison or max drops it."""
+    if math.isnan(a) and math.isnan(b):
         return 0.0
+    if a == b:
+        return 0.0 if math.copysign(1.0, a) == math.copysign(1.0, b) else LEAST_CHANGE
     scale = abs(a if scale is None else scale)
     rel = abs(a - b) / scale if 0.0 < scale < math.inf else math.inf
     return math.inf if math.isnan(rel) else rel
@@ -166,7 +175,7 @@ def diff(doc_a, doc_b, bound):
             return report
         same = ca["x_sha"] == cb["x_sha"]
         note(ca, "x_final", ca["x_sha"], cb["x_sha"],
-             0.0 if same else _rel_vec(ca["x_final"], cb["x_final"]))
+             0.0 if same else max(_rel_vec(ca["x_final"], cb["x_final"]), LEAST_CHANGE))
         worst = report["gap_per_objective"].get(ca["solver"], 0.0)
         for ra, rb in zip(ca["rows"], cb["rows"]):
             worst = max(worst, _rel(ra[gap], rb[gap], ra[objective]))
