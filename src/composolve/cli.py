@@ -74,27 +74,26 @@ def compute_reference(problem, reg, ref_cfg):
 
 
 # Solver name -> (step-size key, function in `solvers`, spec and seed ->
-# keyword arguments, the problem families it solves). The function is looked
-# up by name at call time, so a solver replaced on the module (for
-# instrumentation) is the one called. A missing parameter reaches the solver
-# as None, which its own check rejects.
-_COMPOSITION = (problems.CompositionProblem,)
+# keyword arguments, the problem family it solves: any composition, or only a
+# plain finite sum). The function is looked up by name at call time, so a
+# solver replaced on the module (for instrumentation) is the one called. A
+# missing parameter reaches the solver as None, which its own check rejects.
 _SOLVERS = {
     "vrsc_pg": ("eta", "vrsc_pg", lambda spec, seed: dict(cfg=solvers.VrscpgConfig(
         eta=spec.get("eta"), m=spec.get("m"), S_epochs=spec.get("S_epochs"),
         A=spec.get("A"), B=spec.get("B"), b1=spec.get("b1"), seed=seed,
-    )), _COMPOSITION),
+    )), problems.CompositionProblem),
     "scpg": ("alpha0", "scpg_baseline", lambda spec, seed: dict(
         alpha0=spec.get("alpha0"), beta0=spec.get("beta0", 1.0),
         exp_alpha=spec.get("exp_alpha", 0.75), exp_beta=spec.get("exp_beta", 0.5),
         iters=spec.get("iters", 10**9), seed=seed,
-    ), _COMPOSITION),
+    ), problems.CompositionProblem),
     "prox_svrg": ("eta", "prox_svrg", lambda spec, seed: dict(
         eta=spec.get("eta"), m=spec.get("m"), S_epochs=spec.get("S_epochs"), seed=seed,
-    ), (problems.FiniteSumProblem,)),
+    ), problems.FiniteSumProblem),
     "prox_full_gradient": ("eta", "prox_full_gradient", lambda spec, seed: dict(
         eta=spec.get("eta"), iters=spec.get("iters", 10_000), tol=spec.get("tol", 0.0),
-    ), (problems.CompositionProblem, problems.FiniteSumProblem)),
+    ), problems.CompositionProblem),
 }
 
 
@@ -192,7 +191,7 @@ def _check_solver_spec(spec, prob):
     tuning knobs and problem family; return the label. The solver checks its
     own parameters when it is called."""
     name = _typed("solver", spec, dict).get("name")
-    key, _, _, families = _solver(name)
+    key, _, _, family = _solver(name)
     label = _typed("label", spec.get("label", name), str)
     if "/" in label or "\\" in label:
         raise ValueError(f"label must not contain a path separator, got {label!r}")
@@ -205,7 +204,7 @@ def _check_solver_spec(spec, prob):
             check_real("eta_grid entry", eta, 0, open_low=True)
     if "tune_queries" in spec:
         check_int("tune_queries", spec["tune_queries"])
-    if not isinstance(prob, families):
+    if not isinstance(prob, family):
         raise ValueError(f"solver {name} cannot run on a {type(prob).__name__}")
     return label
 
@@ -301,8 +300,7 @@ def _svg_convergence(series, x_label, y_label, width=720, height=480):
     cleaned = []
     for name, xs, ys in series:
         ys = np.asarray(ys, dtype=np.float64)
-        n_bad = int(np.sum(~(ys > LOG_FLOOR)))
-        clipped += n_bad
+        clipped += int(np.sum(ys <= LOG_FLOOR))
         cleaned.append((name, np.asarray(xs, dtype=np.float64),
                         np.maximum(ys, LOG_FLOOR)))
     if clipped:
@@ -389,7 +387,10 @@ def cmd_plot(csv_paths, out_path, x_axis="queries", y_field="gap"):
         else:
             xs = [r["wall_ms"] for r in rows]
             x_label = "wall time (ms)"
-        series.append((Path(path).stem, xs, [r[y_col] for r in rows]))
+        ys = [r[y_col] for r in rows]
+        if not np.isfinite(ys).all():  # a gap recorded without x_star is NaN
+            raise ValueError(f"column {y_col} of {path} holds a non-finite value")
+        series.append((Path(path).stem, xs, ys))
     y_label = "objective gap" if y_col == "gap" else "composite gradient norm sq"
     svg = _svg_convergence(series, x_label, y_label)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

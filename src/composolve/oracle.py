@@ -114,19 +114,11 @@ class CountedCompositionProblem(CompositionProblem):
         return self._problem.tracking_step(js, is_, x, y, beta)
 
 
-class CountedFiniteSumProblem(FiniteSumProblem):
-    """Counting wrapper for plain finite-sum problems.
-
-    Component-gradient queries are the only oracle cost and are tallied
-    in the outer-gradient slot of the counter; the full gradient comes from
-    the problem's own method at n queries, and objective values are free.
+class CountedFiniteSumProblem(CountedCompositionProblem):
+    """Counting wrapper for plain finite sums: a counted composition, plus the
+    component evaluators that Proximal SVRG reads. A component gradient is an
+    outer gradient and costs one query of that kind; component values are free.
     """
-
-    def __init__(self, problem):
-        self._problem = problem
-        self.counter = QueryCounter()
-        self.n = problem.n
-        self.dim_x = problem.dim_x
 
     def comp_value_batch(self, is_, x):
         return self._problem.comp_value_batch(is_, x)
@@ -134,13 +126,6 @@ class CountedFiniteSumProblem(FiniteSumProblem):
     def comp_gradient_batch(self, is_, x):
         self.counter.add(outer_gradient=len(is_))
         return self._problem.comp_gradient_batch(is_, x)
-
-    def objective_f(self, x):
-        return self._problem.objective_f(x)
-
-    def full_gradient(self, x):
-        self.counter.add(outer_gradient=self.n)
-        return self._problem.full_gradient(x)
 
 
 def counted(problem):

@@ -564,11 +564,18 @@ class LinQuadProblem(AffineInnerProblem):
         )
 
 
-class FiniteSumProblem:
-    """Plain finite-sum problem min (1/n) sum_i f_i(x) for Proximal SVRG."""
+class FiniteSumProblem(AffineInnerProblem):
+    """Plain finite sum min (1/n) sum_i f_i(x): the composition whose one inner
+    map is the identity (n1 = n, n2 = 1, dim_y = dim_x), so that the mean
+    inner Jacobian needs no data, and whose outer functions are the f_i. A
+    subclass calls __init__(n, dim_x) and implements the component evaluators
+    f_i(x) and grad f_i(x), batched like the outer ones, for Proximal SVRG.
+    """
 
-    n = None
-    dim_x = None
+    def __init__(self, n, dim_x):
+        self.n = self.n1 = n
+        self.n2 = 1
+        self.dim_x = self.dim_y = dim_x
 
     def comp_value_batch(self, is_, x):
         raise NotImplementedError
@@ -576,16 +583,26 @@ class FiniteSumProblem:
     def comp_gradient_batch(self, is_, x):
         raise NotImplementedError
 
-    def objective_f(self, x):
-        return float(self.comp_value_batch(np.arange(self.n), x).mean())
+    def inner_value_batch(self, js, x):
+        return np.tile(x, (len(js), 1))
 
-    def full_gradient(self, x):
-        """Mean component gradient; costs n gradient queries."""
-        return self.comp_gradient_batch(np.arange(self.n), x).mean(axis=0)
+    def inner_jacobian_batch(self, js, x):
+        return np.tile(np.eye(self.dim_x), (len(js), 1, 1))
 
-    def objective_and_gradient(self, x):
-        """(f(x), grad f(x)); costs n gradient queries."""
-        return self.objective_f(x), self.full_gradient(x)
+    def outer_value_batch(self, is_, y):
+        return self.comp_value_batch(is_, y)
+
+    def outer_gradient_batch(self, is_, y):
+        return self.comp_gradient_batch(is_, y)
+
+    def full_inner_jacobian(self, x):
+        return None
+
+    def mean_inner_vjp(self, jac, v):
+        return v
+
+    def objective_and_gradient(self, x):  # G(x) = x: no full pass
+        return self.objective_f(x), self.mean_outer_gradient(x)
 
 
 class LassoProblem(FiniteSumProblem):
@@ -598,10 +615,9 @@ class LassoProblem(FiniteSumProblem):
         targets = as_vector(targets, "targets")
         if design.shape[0] != targets.shape[0]:
             raise ValueError("design rows and targets length must agree")
+        super().__init__(*design.shape)
         self.design = design
         self.targets = targets
-        self.n = design.shape[0]
-        self.dim_x = design.shape[1]
 
     def comp_value_batch(self, is_, x):
         r = self.design[is_] @ x - self.targets[is_]
@@ -618,8 +634,8 @@ class LassoProblem(FiniteSumProblem):
         r = self._residual(x)
         return float((0.5 * r * r).mean())
 
-    def full_gradient(self, x):
-        return self.design.T @ self._residual(x) / self.n
+    def mean_outer_gradient(self, y):
+        return self.design.T @ self._residual(y) / self.n
 
     def least_squares_solution(self):
         sol, *_ = np.linalg.lstsq(self.design, self.targets, rcond=None)
@@ -774,12 +790,23 @@ def problem_to_dict(prob):
 
 
 def problem_from_dict(doc):
-    cls, _, fields = _kind(doc["kind"])
-    dims = doc["dims"]
-    return cls(*(
-        np.array(doc[name]).reshape([dims[d] for d in axes]) if axes else doc[name]
-        for name, axes in fields.items()
-    ))
+    """The problem a `problem_to_dict` document describes; a missing or
+    malformed kind, dim or field raises an error that names it."""
+    cls, _, fields = _kind(doc.get("kind"))
+    dims = doc.get("dims")
+    if not isinstance(dims, dict):
+        raise TypeError(f"dims must be an object, got {dims!r}")
+    args = []
+    for name, axes in fields.items():
+        if name not in doc:
+            raise ValueError(f"stored {cls.kind} problem has no field {name!r}")
+        shape = [check_int(f"dims.{d}", dims.get(d)) for d in axes]
+        data = np.array(doc[name], dtype=np.float64) if axes else doc[name]
+        if axes and data.size != np.prod(shape):
+            raise ValueError(f"{name} must hold {' * '.join(axes)} = {np.prod(shape)} "
+                             f"numbers, got {data.size}")
+        args.append(data.reshape(shape) if axes else data)
+    return cls(*args)
 
 
 def save_problem(prob, path):

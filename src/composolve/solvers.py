@@ -7,8 +7,8 @@ snapshot. Each correction is the minibatch mean of a paired difference
 f_j(x_tilde) - f_j(x), taken from one problem hook call (which a class may
 give in closed form) or from `problems.paired_diff_mean`.
 Baselines: a two-timescale stochastic compositional gradient method with
-decaying steps, proximal SVRG for plain finite sums, and a deterministic
-proximal full-gradient reference.
+decaying steps, proximal SVRG for plain finite sums (compositions whose inner
+map is the identity), and a deterministic proximal full-gradient reference.
 
 Each solver supplies only its update rule, as a generator of iterates;
 one shared loop (`_drive`) counts queries, records the trace and enforces
@@ -36,7 +36,7 @@ import numpy as np
 from .metrics import DivergedError, TraceRecord, TraceRecorder
 from .numerics import RngStream, check_int, check_real, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
-from .problems import paired_diff_mean
+from .problems import FiniteSumProblem, paired_diff_mean
 
 
 class InvalidConfigError(ValueError):
@@ -297,12 +297,14 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
 
 
 def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
-    """Proximal SVRG for plain finite sums.
+    """Proximal SVRG for a plain finite sum (a `FiniteSumProblem`).
 
-    Each epoch computes the full gradient f' at the snapshot, then m inner
-    steps with the corrected estimate f' - (grad f_i(x_tilde) - grad f_i(x)).
-    `run`: the run options of `_drive`.
+    Each epoch computes the full gradient f' at the snapshot, the mean of the
+    n component gradients, then m inner steps with the corrected estimate
+    f' - (grad f_i(x_tilde) - grad f_i(x)). `run`: the run options of `_drive`.
     """
+    if not isinstance(fsp, FiniteSumProblem):
+        raise TypeError(f"prox_svrg needs a FiniteSumProblem, got {type(fsp).__name__}")
     check_real("eta", eta, 0, open_low=True)
     check_int("m", m)
     check_int("S_epochs", S_epochs)
@@ -313,7 +315,7 @@ def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
             if not room(fsp.n):
                 return
             x_tilde = x
-            f_prime = cp.full_gradient(x_tilde)
+            f_prime = cp.mean_outer_gradient(x_tilde)
             draws = _index_sets(rng, ((fsp.n, 1),), m)
             for t in range(m):
                 if not room():
@@ -329,9 +331,8 @@ def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
 def prox_full_gradient(problem, reg, eta, iters, tol=0.0, **run):
     """Deterministic proximal gradient descent; reference solver.
 
-    Stops when the step norm drops to tol or the iteration cap is hit.
-    Works on composition problems and plain finite sums alike. `run`: the
-    run options of `_drive`.
+    Stops when the step norm drops to tol or the iteration cap is hit. `run`:
+    the run options of `_drive`.
     """
     check_real("eta", eta, 0, open_low=True)
     check_int("iters", iters)

@@ -45,7 +45,7 @@ def _lasso():
 
 
 def _compositions():
-    return _portfolio(), _policy_eval(), _linquad()
+    return _portfolio(), _policy_eval(), _linquad(), _lasso()
 
 
 def _generic_view(prob):
@@ -69,14 +69,14 @@ def same_rows_modulo_wall(rows_a, rows_b):
 
 def _solver_runs(trial):
     """Every solver with sizes drawn for the trial: the compositional ones on
-    a composition class chosen by the trial, proximal SVRG on lasso. Yields
+    a composition class chosen by the trial, proximal SVRG on the lasso. Yields
     (run, closed form): run takes the solvers' keyword options, and the
     closed form maps a result to its query triple by kind and its `oracle`
     total."""
     rng = RngStream(100 + trial)
     m, a, b, b1, s = (int(rng.integers(6)) + 1 for _ in range(5))
     iters = int(rng.integers(40)) + 1
-    prob, fsp = _compositions()[trial % 3], _lasso()
+    prob, fsp = _compositions()[trial % 4], _lasso()
     n1, n2, n = prob.n1, prob.n2, fsp.n
     reg = regularizers.L1Penalty(1e-3)
     cfg = solvers.VrscpgConfig(eta=0.05, m=m, S_epochs=s, A=a, B=b, b1=b1, seed=trial)
@@ -109,7 +109,7 @@ def check_finite_differences():
     """Every class's full gradient, and each lasso component gradient, against
     central differences of the matching value."""
     fsp = _lasso()
-    cases = [(p.objective_f, p.full_gradient, p.dim_x) for p in (*_compositions(), fsp)]
+    cases = [(p.objective_f, p.full_gradient, p.dim_x) for p in _compositions()]
     for i in range(5):
         idx = np.array([i])
         cases.append((lambda x, idx=idx: float(fsp.comp_value_batch(idx, x)[0]),
@@ -203,10 +203,11 @@ def check_query_exactness():
 
 def check_counting_transparency():
     """The counted handle returns the raw problem's numbers bitwise and
-    charges exactly the per-index cost model, for every class."""
+    charges exactly the per-index cost model, for every class; a counted full
+    pass on the lasso pays (1, 1, n), like any other with n2 = 1."""
     rng = RngStream(17)
-    js = np.array([1, 0, 1, 2])  # repeated indices included
-    k, same = len(js), True
+    is_ = np.array([1, 0, 1, 2])  # repeated indices included
+    k, same = len(is_), True
 
     def same_and_charged(cp, counter, prob, name, args, charge):
         before = counter.snapshot()
@@ -220,39 +221,33 @@ def check_counting_transparency():
     # linquad's closed forms at n2 = 70 > 64, and the same instance through the
     # generic defaults alone, whose mean Jacobian is then a chunked loop
     wide = _linquad(n2=70)
-    for prob in (*_compositions(), wide, _generic_view(wide), _lasso()):
+    for prob in (*_compositions(), wide, _generic_view(wide)):
         cp, counter = oracle.counted(prob)
-        x = rng.normal(size=prob.dim_x)
+        n1, n2, js = prob.n1, prob.n2, is_ % prob.n2  # the lasso's js are all 0
+        x, x_tilde = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+        y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
+        table = [
+            ("tracking_step", (js[:1], is_[1:2], x, y, 0.3), (1, 1, 1)),
+            ("full_gradient", (x,), (n2, n2, n1)),
+            ("full_pass", (x,), (n2, n2, n1)),
+            ("objective_and_gradient", (x,), (n2, n2, n1)),
+            ("objective_f", (x,), (n2, 0, 0)),
+            ("full_inner_value", (x,), (n2, 0, 0)),
+            ("full_inner_jacobian", (x,), (0, n2, 0)),
+            ("mean_outer_gradient", (y,), (0, 0, n1)),
+            ("mean_inner_vjp", (prob.full_inner_jacobian(x), u), (0, 0, 0)),
+            ("inner_value_batch", (js, x), (k, 0, 0)),
+            ("inner_jacobian_batch", (js, x), (0, k, 0)),
+            ("inner_vjp_batch", (js, x, u), (0, k, 0)),
+            ("outer_gradient_batch", (is_, y), (0, 0, k)),
+            ("outer_value_batch", (is_, y), (0, 0, 0)),
+            ("inner_value_diff_mean", (js, x_tilde, x), (2 * k, 0, 0)),
+            ("inner_vjp_diff_mean", (js, x_tilde, x, u), (0, 2 * k, 0)),
+            ("outer_gradient_mean", (is_, y), (0, 0, k)),
+        ]
         if isinstance(prob, problems.FiniteSumProblem):
-            table = (
-                ("full_gradient", (x,), (0, 0, prob.n)),
-                ("objective_f", (x,), (0, 0, 0)),
-                ("comp_gradient_batch", (js, x), (0, 0, k)),
-                ("comp_value_batch", (js, x), (0, 0, 0)),
-            )
-        else:
-            n1, n2 = prob.n1, prob.n2
-            y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
-            x_tilde = rng.normal(size=prob.dim_x)
-            table = (
-                ("tracking_step", (js[:1], js[1:2], x, y, 0.3), (1, 1, 1)),
-                ("full_gradient", (x,), (n2, n2, n1)),
-                ("full_pass", (x,), (n2, n2, n1)),
-                ("objective_and_gradient", (x,), (n2, n2, n1)),
-                ("objective_f", (x,), (n2, 0, 0)),
-                ("full_inner_value", (x,), (n2, 0, 0)),
-                ("full_inner_jacobian", (x,), (0, n2, 0)),
-                ("mean_outer_gradient", (y,), (0, 0, n1)),
-                ("mean_inner_vjp", (prob.full_inner_jacobian(x), u), (0, 0, 0)),
-                ("inner_value_batch", (js, x), (k, 0, 0)),
-                ("inner_jacobian_batch", (js, x), (0, k, 0)),
-                ("inner_vjp_batch", (js, x, u), (0, k, 0)),
-                ("outer_gradient_batch", (js, y), (0, 0, k)),
-                ("outer_value_batch", (js, y), (0, 0, 0)),
-                ("inner_value_diff_mean", (js, x_tilde, x), (2 * k, 0, 0)),
-                ("inner_vjp_diff_mean", (js, x_tilde, x, u), (0, 2 * k, 0)),
-                ("outer_gradient_mean", (js, y), (0, 0, k)),
-            )
+            table += [("comp_gradient_batch", (is_, x), (0, 0, k)),
+                      ("comp_value_batch", (is_, x), (0, 0, 0))]
         for name, args, charge in table:
             same &= same_and_charged(cp, counter, prob, name, args, charge)
     return "counting wrapper changes no numbers", same, (
@@ -272,7 +267,7 @@ def check_closed_forms_match_generic():
     to a dense v, to a v with two nonzeros per half (at S = 24 policy
     evaluation gathers for it) and to every unit vector, against the dense mean."""
     rng = RngStream(20)
-    js = np.array([1, 0, 1, 2])  # repeated indices included
+    is_ = np.array([1, 0, 1, 2])  # repeated indices included
     worst, where = 0.0, "none"
 
     def compare(label, fast, generic):
@@ -289,7 +284,8 @@ def check_closed_forms_match_generic():
             worst, where = err, label
 
     base = problems.CompositionProblem
-    for prob in (_portfolio(), _policy_eval(n_states=24), _linquad()):
+    for prob in (_portfolio(), _policy_eval(n_states=24), _linquad(), _lasso()):
+        js = is_ % prob.n2
         x, x_tilde, y, u = (rng.normal(size=d)
                             for d in (prob.dim_x, prob.dim_x, prob.dim_y, prob.dim_y))
         half = prob.dim_y // 2
@@ -300,9 +296,9 @@ def check_closed_forms_match_generic():
                            ("inner_vjp_batch", (js, x, u)),
                            ("inner_value_diff_mean", (js, x_tilde, x)),
                            ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
-                           ("outer_gradient_mean", (js, y)),
-                           ("tracking_step", (js[3:], js[1:2], x, y, 0.3)),
-                           ("tracking_step", (js[:1], js[2:3], x, y, 0.3)),
+                           ("outer_gradient_mean", (is_, y)),
+                           ("tracking_step", (js[3:], is_[1:2], x, y, 0.3)),
+                           ("tracking_step", (js[:1], is_[2:3], x, y, 0.3)),
                            ("objective_and_gradient", (x,))):
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
@@ -310,11 +306,6 @@ def check_closed_forms_match_generic():
         for v in (u, sparse, *np.eye(prob.dim_y)):
             compare(f"{prob.kind}.full_inner_jacobian", prob.mean_inner_vjp(jac, v),
                     dense.T @ v)
-    lasso = _lasso()
-    x = rng.normal(size=lasso.dim_x)
-    for name in ("full_gradient", "objective_f"):
-        compare(f"lasso.{name}", getattr(lasso, name)(x),
-                getattr(problems.FiniteSumProblem, name)(lasso, x))
     return "closed forms equal the generic defaults", worst <= 1e-13, (
         f"worst rel = {worst:.1e} ({where}), every class; dense, sparse and unit v"
     )

@@ -175,11 +175,6 @@ MALFORMED = [
     # the problem family
     _case(_edit("solvers", value=[{"name": "prox_svrg", "eta": 0.5, "m": 10, "S_epochs": 3}]),
           ValueError, "prox_svrg cannot run on a LinQuadProblem", "prox_svrg_on_composition"),
-    _case(_problem("lasso"), ValueError, "vrsc_pg cannot run on a LassoProblem",
-          "vrsc_pg_on_finite_sum"),
-    _case(lambda cfg: _edit("solvers", value=[{"name": "scpg", "alpha0": 0.05}])(
-          _problem("lasso")(cfg)), ValueError, "scpg cannot run on a LassoProblem",
-          "scpg_on_finite_sum"),
     # a solver's own parameters: rejected in the solver, before a query
     *(_case(_bad_solver("vrsc_pg", **{key: 0}), ValueError, f"^{key} must", f"vrsc_pg_{key}_zero",
             True) for key in ("m", "S_epochs", "A", "B", "b1")),
@@ -235,14 +230,18 @@ class TestMalformedConfig:
         else:
             assert not out.exists()
 
-    def test_lasso_runs_its_two_solvers(self, tmp_path):
+    def test_lasso_runs_every_solver(self, tmp_path):
+        # a finite sum is a composition: the compositional solvers run on it too
         cfg = _problem("lasso")(small_config(tmp_path, solvers=[
             {"name": "prox_svrg", "eta": 0.5, "m": 10, "S_epochs": 3},
             {"name": "prox_full_gradient", "eta": "tune", "iters": 50},
+            {"name": "vrsc_pg", "eta": 0.5, "m": 10, "S_epochs": 3, "A": 1, "B": 1, "b1": 1},
+            {"name": "scpg", "alpha0": 0.1, "iters": 50},
         ]))
         summary = cli.cmd_run(cfg, tmp_path / "out")
         solved = [e["solver"] for e in summary["runs"]]
-        assert solved == ["prox_svrg"] * 2 + ["prox_full_gradient"] * 2
+        assert solved == [name for name in ("prox_svrg", "prox_full_gradient", "vrsc_pg",
+                                            "scpg") for _ in range(2)]
         assert not any(e["diverged"] for e in summary["runs"])
 
     def test_output_dir_not_string_rejected(self, tmp_path):
@@ -526,6 +525,20 @@ class TestCmdPlot:
     def test_no_inputs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.cmd_plot([], tmp_path / "x.svg")
+
+    def test_nan_gap_rejected_naming_file_and_column(self, tmp_path):
+        # recorded without a reference optimum: every row's gap is NaN
+        res = prox_full_gradient(gen_linquad(6, 5, 4, 3, RngStream(4)), L1Penalty(1e-3),
+                                 0.1, 4)
+        path, out = tmp_path / "nogap.csv", tmp_path / "nogap.svg"
+        cli.write_trace_csv(path, res.trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"column gap of {path}"):
+                cli.cmd_plot([str(path)], out)
+        assert not out.exists()
+        cli.cmd_plot([str(path)], out, y_field="gradnorm")
+        assert out.read_text().count("<polyline") == 1
 
 
 class TestCheckCommand:

@@ -138,6 +138,14 @@ class TestCostFormulas:
         assert res.counter.snapshot() == (k * prob.n2, k * prob.n2, k * prob.n1)
         assert res.counter.total == prox_full_gradient_cost(prob.n1, prob.n2, k)
 
+    def test_lasso_full_pass_pays_its_identity_inner_map(self):
+        # a finite sum is the composition with n2 = 1: a counted full gradient
+        # costs one inner value, one inner Jacobian and n component gradients
+        fsp = gen_lasso(12, 4, RngStream(4))
+        res = solvers.prox_full_gradient(fsp, ZeroPenalty(), eta=0.5, iters=11)
+        assert res.counter.snapshot() == (11, 11, 11 * fsp.n)
+        assert res.counter.total == prox_full_gradient_cost(fsp.n, 1, 11) == 11 * (fsp.n + 2)
+
     def test_counter_monotone_along_trace(self, prob):
         cfg = solvers.VrscpgConfig(eta=0.05, m=5, S_epochs=3, A=2, B=2, b1=2, seed=1)
         res = solvers.vrsc_pg(prob, ZeroPenalty(), cfg)

@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,14 +179,14 @@ class TestOwnedData:
     def test_inputs_copied_and_arrays_read_only(self, kind):
         make, inputs = owned_data_case(kind)
         prob = make(*inputs)
-        base = CompositionProblem if isinstance(prob, CompositionProblem) else FiniteSumProblem
         x = RngStream(30).normal(size=prob.dim_x)
 
         def outputs():
             # closed forms and the generic defaults, which read the per-index
             # evaluators
             return (prob.objective_f(x), prob.full_gradient(x),
-                    base.objective_f(prob, x), base.full_gradient(prob, x))
+                    CompositionProblem.objective_f(prob, x),
+                    CompositionProblem.full_gradient(prob, x))
 
         before = outputs()
         for a in inputs:
@@ -546,6 +548,21 @@ class TestLasso:
         with pytest.raises(ValueError):
             LassoProblem(np.ones((3, 2)), np.ones(4))
 
+    def test_composition_with_the_identity_inner_map(self):
+        prob = gen_lasso(12, 4, RngStream(13))
+        assert isinstance(prob, FiniteSumProblem) and isinstance(prob, CompositionProblem)
+        assert (prob.n, prob.n1, prob.n2, prob.dim_x, prob.dim_y) == (12, 12, 1, 4, 4)
+        x = RngStream(14).normal(size=4)
+        js, is_ = np.zeros(3, dtype=np.int64), np.array([4, 0, 4])
+        assert np.array_equal(prob.inner_value_batch(js, x), [x] * 3)
+        assert np.array_equal(prob.inner_jacobian_batch(js, x), [np.eye(4)] * 3)
+        assert np.array_equal(prob.outer_value_batch(is_, x), prob.comp_value_batch(is_, x))
+        assert np.array_equal(prob.outer_gradient_batch(is_, x),
+                              prob.comp_gradient_batch(is_, x))
+        g_bar, jac, grad = prob.full_pass(x)
+        assert np.array_equal(g_bar, x) and jac is None
+        assert np.array_equal(grad, prob.design.T @ (prob.design @ x - prob.targets) / 12)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
@@ -571,6 +588,24 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             problem_from_dict({"kind": "mystery", "dims": {}})
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda d: d.pop("kind"), ValueError, "^unknown problem kind: None"),
+        (lambda d: d.pop("b_vecs"), ValueError, "^stored linquad problem has no field 'b_vecs'"),
+        (lambda d: d["dims"].pop("n1"), TypeError, "^dims.n1 must be an integer, got None"),
+        (lambda d: d["b_vecs"].pop(), ValueError,
+         r"^b_vecs must hold n1 \* M = 12 numbers, got 11"),
+        (lambda d: d["dims"].update(M=1.5), TypeError, "^dims.M must be an integer, got 1.5"),
+        (lambda d: d.pop("dims"), TypeError, "^dims must be an object, got None"),
+    ], ids=["kind_missing", "field_missing", "dim_missing", "data_short", "dim_not_int",
+            "dims_missing"])
+    def test_malformed_document_names_what_is_wrong(self, edit, error, match, tmp_path):
+        doc = problem_to_dict(gen_linquad(4, 3, 3, 2, RngStream(9)))
+        edit(doc)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=match):
+            load_problem(path)
 
     def test_dict_fields(self):
         doc = problem_to_dict(small_policy_eval())

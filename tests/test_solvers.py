@@ -551,6 +551,27 @@ class TestProxSvrg:
         expect = reg.prox(-eta * fsp.full_gradient(np.zeros(4)), eta)
         assert np.allclose(res.x_final, expect, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vrsc_pg_on_the_identity_inner_map_is_prox_svrg(self, seed):
+        # a finite sum is the composition whose one inner map is the identity;
+        # there vrsc_pg with A = B = b1 = 1 takes Proximal SVRG's steps, from
+        # the same draws, since a population of one takes no word of the stream
+        fsp, reg = gen_lasso(40, 8, RngStream(12)), L1Penalty(1e-2)
+        cfg = VrscpgConfig(eta=0.3, m=20, S_epochs=5, A=1, B=1, b1=1, seed=seed)
+        vr = vrsc_pg(fsp, reg, cfg)
+        svrg = prox_svrg(fsp, reg, eta=0.3, m=20, S_epochs=5, seed=seed)
+        assert vr.n_iters == svrg.n_iters == 100
+        rel = np.max(np.abs(vr.x_final - svrg.x_final)) / np.max(np.abs(svrg.x_final))
+        assert rel <= 1e-15
+        # vrsc_pg also pays for the identity: 1 + 1 + n per snapshot, 2 + 2 + 2 per step
+        assert vr.counter.snapshot() == (205, 205, 400)
+        assert svrg.counter.snapshot() == (0, 0, 400)
+
+    def test_composition_rejected(self):
+        with pytest.raises(TypeError, match="^prox_svrg needs a FiniteSumProblem, got "
+                                            "LinQuadProblem"):
+            prox_svrg(linquad(), L1Penalty(1e-3), eta=0.5, m=10, S_epochs=3, seed=0)
+
 
 class TestProxFullGradient:
     def test_linquad_reaches_closed_form(self):
@@ -783,7 +804,7 @@ def per_step_prox_svrg(fsp, reg, eta, m, S_epochs, seed, **kw):
             if not room(fsp.n):
                 return
             x_tilde = x
-            f_prime = cp.full_gradient(x_tilde)
+            f_prime = cp.mean_outer_gradient(x_tilde)
             for t in range(m):
                 if not room():
                     return
@@ -900,8 +921,7 @@ class TestOnePass:
         assert row.grad_map_sq == l2_norm_sq(gradient_mapping(prob, reg, x, eta))
         assert row.composite_grad_sq == composite_grad_sq(prob, reg, x)
 
-    @pytest.mark.parametrize(
-        "kind", sorted(k for k in ONE_PASS_PROBLEMS if k != "lasso"))
+    @pytest.mark.parametrize("kind", sorted(ONE_PASS_PROBLEMS))
     def test_snapshot_gradient_is_full_gradient(self, kind):
         prob = ONE_PASS_PROBLEMS[kind]()
         x = self.point(prob)
