@@ -46,13 +46,14 @@ class CountedCompositionProblem(CompositionProblem):
     transpose-Jacobian product J_j^T u costs one inner-Jacobian query per
     index. The full-batch means come from the problem's own methods, closed
     forms or generic loops, at their per-index cost: n2 inner values, n2
-    inner Jacobians, or n1 outer gradients. So do the minibatch means of a
-    variance-reduced step: a paired difference over js costs 2 len(js)
-    queries of its kind, a mean outer gradient over is_ len(is_), whether
-    the class evaluates them or, as for the zero Jacobian correction of an
-    affine class, not. A two-timescale step over js and is_ costs one query
-    of each kind per index. The product with the mean Jacobian reuses what
-    `full_inner_jacobian` paid for and costs nothing.
+    inner Jacobians, or n1 outer gradients. A step of a stochastic solver is
+    charged once per call, whether the class evaluates every term or, as for
+    the zero Jacobian correction of an affine class, not: a
+    variance-reduced step over A, B and I costs 2 per index of each kind, the
+    Jacobian correction alone 2 inner Jacobians per index, and a two-timescale
+    step over js and is_ one query of each kind per index. The product with
+    the mean Jacobian reuses what `full_inner_jacobian` paid for and costs
+    nothing.
     """
 
     def __init__(self, problem):
@@ -97,17 +98,13 @@ class CountedCompositionProblem(CompositionProblem):
         self.counter.add(outer_gradient=self.n1)
         return self._problem.mean_outer_gradient(y)
 
-    def inner_value_diff_mean(self, js, x_tilde, x):
-        self.counter.add(inner_value=2 * len(js))
-        return self._problem.inner_value_diff_mean(js, x_tilde, x)
-
     def inner_vjp_diff_mean(self, js, x_tilde, x, u):
         self.counter.add(inner_jacobian=2 * len(js))
         return self._problem.inner_vjp_diff_mean(js, x_tilde, x, u)
 
-    def outer_gradient_mean(self, is_, y):
-        self.counter.add(outer_gradient=len(is_))
-        return self._problem.outer_gradient_mean(is_, y)
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        self.counter.add(2 * len(a_idx), 2 * len(b_idx), 2 * len(i_idx))
+        return self._problem.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
 
     def tracking_step(self, js, is_, x, y, beta):
         self.counter.add(len(js), len(js), len(is_))

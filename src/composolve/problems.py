@@ -18,10 +18,11 @@ default built from them, which a subclass may override with a closed form
   `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
   returned;
-- `inner_value_diff_mean(js, x_tilde, x)`, `inner_vjp_diff_mean(js, x_tilde,
-  x, u)` and `outer_gradient_mean(is_, y)`: the minibatch means a
-  variance-reduced step takes, the first two of paired differences
-  (`paired_diff_mean`).
+- `inner_vjp_diff_mean(js, x_tilde, x, u)`: the Jacobian correction of a
+  variance-reduced step, the mean of paired differences (`paired_diff_mean`);
+- `variance_reduced_step(snap, a_idx, b_idx, i_idx, x)`: the gradient
+  estimate of one variance-reduced step, whose generic default is the
+  estimators of the solvers module;
 - `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
   gradient estimate of one two-timescale step, at one index each.
 
@@ -128,11 +129,7 @@ class CompositionProblem:
         no queries."""
         return jac.T @ v
 
-    # -- minibatch means of a variance-reduced step -----------------------------
-
-    def inner_value_diff_mean(self, js, x_tilde, x):
-        """mean_j (G_j(x_tilde) - G_j(x)), shape (M,); 2 len(js) inner-value queries."""
-        return paired_diff_mean(self.inner_value_batch, js, x_tilde, x)
+    # -- one step of each stochastic solver -------------------------------------
 
     def inner_vjp_diff_mean(self, js, x_tilde, x, u):
         """mean_j (J_j(x_tilde)^T u - J_j(x)^T u), shape (N,); 2 len(js)
@@ -140,11 +137,14 @@ class CompositionProblem:
         return paired_diff_mean(lambda js, z: self.inner_vjp_batch(js, z, u),
                                 js, x_tilde, x)
 
-    def outer_gradient_mean(self, is_, y):
-        """mean_i grad F_i(y) over is_, shape (M,); len(is_) outer-gradient queries."""
-        return self.outer_gradient_batch(is_, y).sum(axis=0) / len(is_)
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        """v_t of one variance-reduced step at x from the epoch snapshot snap:
+        `solvers.estimate_gradient_vt` over B and I at `estimate_inner_value`
+        over A; 2 queries of each kind per index of A, B and I."""
+        from . import solvers
 
-    # -- one two-timescale step ----------------------------------------------------
+        g_hat = solvers.estimate_inner_value(snap, self, x, a_idx)
+        return solvers.estimate_gradient_vt(snap, self, x, g_hat, b_idx, i_idx)
 
     def tracking_step(self, js, is_, x, y, beta):
         """(y_new, v) with y_new = (1 - beta) y + beta G_j(x) and
@@ -265,26 +265,29 @@ class PortfolioProblem(AffineInnerProblem):
     def mean_inner_vjp(self, jac, v):
         return v[: self.dim_x] + v[self.dim_x] * jac
 
-    # The two minibatch means of a step gather their k reward rows once and
-    # build no (k, N+1) stack; ndarray.dot costs less than @ on these sizes.
-    def inner_value_diff_mean(self, js, x_tilde, x):
-        # G_j(x_tilde) - G_j(x) = (d, <r_j, d>) with d = x_tilde - x
-        out = np.empty(self.dim_y)
-        d = np.subtract(x_tilde, x, out=out[: self.dim_x])
-        out[self.dim_x] = self.rewards.take(js, axis=0).dot(d).sum() / len(js)
-        return out
-
-    def outer_gradient_mean(self, is_, y):
+    def _outer_gradient_mean(self, r, y):
         # ((t - 1)^T R_I, -sum t) / k with t = 2 (R_I w - z), in place
-        r = self.rewards.take(is_, axis=0)
         t = r.dot(y[: self.dim_x])
         t -= y[self.dim_x]
         t *= 2.0
         out = np.empty(self.dim_y)
-        out[self.dim_x] = -t.sum() / len(is_)
+        out[self.dim_x] = -t.sum() / len(r)
         t -= 1.0
-        np.divide(t.dot(r), len(is_), out=out[: self.dim_x])
+        np.divide(t.dot(r), len(r), out=out[: self.dim_x])
         return out
+
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        # G_j(x_tilde) - G_j(x) = (d, <r_j, d>) with d = x_tilde - x, summed in
+        # another order than the default, and u - u_s from the k rows R_I read
+        # once: no (k, N+1) stack, and ndarray.dot costs less than @ here. The
+        # zero Jacobian correction is not formed: (v - 0.0) + c is bitwise v + c
+        diff = np.empty(self.dim_y)
+        d = np.subtract(snap.x_tilde, x, out=diff[: self.dim_x])
+        diff[self.dim_x] = self.rewards.take(a_idx, axis=0).dot(d).sum() / len(a_idx)
+        r = self.rewards.take(i_idx, axis=0)
+        u = self._outer_gradient_mean(r, snap.G_s - diff)
+        u -= self._outer_gradient_mean(r, snap.G_s)
+        return self.mean_inner_vjp(snap.J_s, u) + snap.grad_f_s
 
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
@@ -395,26 +398,21 @@ class PolicyEvalProblem(AffineInnerProblem):
         out[rows, s + is_] = -2.0 * r
         return out
 
-    def inner_value_diff_mean(self, js, x_tilde, x):
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
         # G_j(x_tilde) - G_j(x) = (d, gamma S d_j P[:, j]) with d = x_tilde - x:
-        # R cancels, so only rows of P^T are read
+        # R cancels, so only rows of P^T are read. u = (a, 0 - a) scatters the
+        # terms 2 r_i, each entry summing its own in index order as the default
+        # does, and 0 - a is bitwise its sum of the negated terms; likewise u_s.
+        # As in the portfolio's step, the zero Jacobian correction is not formed
         s = self.n_states
-        d = x_tilde - x
-        out = np.empty(2 * s)
-        out[:s] = d
-        out[s:] = (self.gamma * s / len(js)) * (d[js] @ self._pt.take(js, axis=0))
-        return out
-
-    def outer_gradient_mean(self, is_, y):
-        # scatter the len(is_) terms 2 r_i: each entry sums its terms in index
-        # order, as the axis-0 sum of `outer_gradient_batch` does, and the
-        # second half is 0 - the first, bitwise that sum of the negated terms
-        s = self.n_states
-        out = np.empty(2 * s)
-        np.divide(np.bincount(is_, 2.0 * (y[is_] - y[s + is_]), minlength=s), len(is_),
-                  out=out[:s])
-        np.subtract(0.0, out[:s], out=out[s:])
-        return out
+        d = snap.x_tilde - x
+        diff = np.concatenate([d, (self.gamma * s / len(a_idx))
+                               * (d[a_idx] @ self._pt.take(a_idx, axis=0))])
+        i_t = s + i_idx
+        a, a_s = (np.bincount(i_idx, 2.0 * (y[i_idx] - y[i_t]), minlength=s) / len(i_idx)
+                  for y in (snap.G_s - diff, snap.G_s))
+        u = np.concatenate([a - a_s, (0.0 - a) - (0.0 - a_s)])
+        return self.mean_inner_vjp(snap.J_s, u) + snap.grad_f_s
 
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
@@ -513,10 +511,6 @@ class LinQuadProblem(AffineInnerProblem):
 
     def inner_jacobian_batch(self, js, x):
         return self.q_mats[js]
-
-    def inner_vjp_batch(self, js, x, u):
-        # take gathers whole (M, N) blocks faster than fancy indexing does
-        return u @ self.q_mats.take(js, axis=0)
 
     def outer_value_batch(self, is_, y):
         d = y - self.b_vecs[is_]
@@ -792,6 +786,8 @@ def problem_to_dict(prob):
 def problem_from_dict(doc):
     """The problem a `problem_to_dict` document describes; a missing or
     malformed kind, dim or field raises an error that names it."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a stored problem must be a JSON object, got {type(doc).__name__}")
     cls, _, fields = _kind(doc.get("kind"))
     dims = doc.get("dims")
     if not isinstance(dims, dict):
@@ -801,7 +797,10 @@ def problem_from_dict(doc):
         if name not in doc:
             raise ValueError(f"stored {cls.kind} problem has no field {name!r}")
         shape = [check_int(f"dims.{d}", dims.get(d)) for d in axes]
-        data = np.array(doc[name], dtype=np.float64) if axes else doc[name]
+        try:
+            data = np.array(doc[name], dtype=np.float64) if axes else doc[name]
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{name} must be a flat list of numbers: {err}") from None
         if axes and data.size != np.prod(shape):
             raise ValueError(f"{name} must hold {' * '.join(axes)} = {np.prod(shape)} "
                              f"numbers, got {data.size}")

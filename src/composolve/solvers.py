@@ -4,8 +4,9 @@ The main solver keeps an epoch snapshot of the inner value, inner
 Jacobian, and composite gradient, and corrects minibatch estimates with
 snapshot differences so their variance vanishes as iterates approach the
 snapshot. Each correction is the minibatch mean of a paired difference
-f_j(x_tilde) - f_j(x), taken from one problem hook call (which a class may
-give in closed form) or from `problems.paired_diff_mean`.
+f_j(x_tilde) - f_j(x) (`problems.paired_diff_mean`). The estimators here are
+the generic default of the problem hook `variance_reduced_step`, which a
+class may give in closed form, and the reference for those closed forms.
 Baselines: a two-timescale stochastic compositional gradient method with
 decaying steps, proximal SVRG for plain finite sums (compositions whose inner
 map is the identity), and a deterministic proximal full-gradient reference.
@@ -115,7 +116,8 @@ def _nonempty(indices):
 
 def estimate_inner_value(snap, problem, x, a_indices):
     """Inner-value estimate G^s - mean_j (G_j(x_tilde) - G_j(x)); 2A queries."""
-    return snap.G_s - problem.inner_value_diff_mean(_nonempty(a_indices), snap.x_tilde, x)
+    return snap.G_s - paired_diff_mean(problem.inner_value_batch, _nonempty(a_indices),
+                                       snap.x_tilde, x)
 
 
 def estimate_inner_jacobian(snap, problem, x, b_indices):
@@ -133,8 +135,8 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
 def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     """Composite-gradient estimate from transpose-Jacobian products; 2B + 2 b1 queries.
 
-    With u = mean_i grad F_i(g_hat) and u_s = mean_i grad F_i(G^s) over I (the
-    problem's `outer_gradient_mean`), and the Jacobian estimate j_hat of
+    With u = mean_i grad F_i(g_hat) and u_s = mean_i grad F_i(G^s) over I (each
+    an axis-0 sum in index order), and the Jacobian estimate j_hat of
     `estimate_inner_jacobian` over B, this is
     j_hat^T u - J_s^T u_s + grad f(x_tilde)
       = J_s^T (u - u_s) - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) + grad f(x_tilde):
@@ -142,8 +144,9 @@ def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     and one `inner_vjp_diff_mean`, zero for affine inner maps; no Jacobian is
     built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde) exactly.
     """
-    u = problem.outer_gradient_mean(_nonempty(i_indices), g_hat)
-    u_s = problem.outer_gradient_mean(i_indices, snap.G_s)
+    k = len(_nonempty(i_indices))
+    u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / k
+    u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / k
     return (problem.mean_inner_vjp(snap.J_s, u - u_s)
             - problem.inner_vjp_diff_mean(_nonempty(b_indices), snap.x_tilde, x, u)
             + snap.grad_f_s)
@@ -234,8 +237,8 @@ def vrsc_pg(problem, reg, cfg, **run):
 
     Per epoch: snapshot full pass, then m inner iterations each sampling
     the index sets A_t, B_t, I_t independently with replacement (in that
-    fixed order), estimating the inner value over A_t and the composite
-    gradient over B_t and I_t, and taking a proximal step. The Jacobian
+    fixed order), estimating the composite gradient from them in one
+    `variance_reduced_step` call, and taking a proximal step. The Jacobian
     estimate enters only through its product with the outer gradient, so no
     Jacobian is built.
     With m = 1 every step is taken at its own snapshot, where the estimates
@@ -256,8 +259,7 @@ def vrsc_pg(problem, reg, cfg, **run):
                 if not room():
                     return
                 a_idx, b_idx, i_idx = next(draws)
-                g_hat = estimate_inner_value(snap, cp, x, a_idx)
-                v_t = estimate_gradient_vt(snap, cp, x, g_hat, b_idx, i_idx)
+                v_t = cp.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
                 yield s, t + 1, x
 

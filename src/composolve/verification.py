@@ -226,7 +226,9 @@ def check_counting_transparency():
         n1, n2, js = prob.n1, prob.n2, is_ % prob.n2  # the lasso's js are all 0
         x, x_tilde = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
         y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
+        snap = solvers.compute_snapshot(prob, x_tilde)
         table = [
+            ("variance_reduced_step", (snap, js, js[1:], is_, x), (2 * k, 2 * (k - 1), 2 * k)),
             ("tracking_step", (js[:1], is_[1:2], x, y, 0.3), (1, 1, 1)),
             ("full_gradient", (x,), (n2, n2, n1)),
             ("full_pass", (x,), (n2, n2, n1)),
@@ -241,9 +243,7 @@ def check_counting_transparency():
             ("inner_vjp_batch", (js, x, u), (0, k, 0)),
             ("outer_gradient_batch", (is_, y), (0, 0, k)),
             ("outer_value_batch", (is_, y), (0, 0, 0)),
-            ("inner_value_diff_mean", (js, x_tilde, x), (2 * k, 0, 0)),
             ("inner_vjp_diff_mean", (js, x_tilde, x, u), (0, 2 * k, 0)),
-            ("outer_gradient_mean", (is_, y), (0, 0, k)),
         ]
         if isinstance(prob, problems.FiniteSumProblem):
             table += [("comp_gradient_batch", (is_, x), (0, 0, k)),
@@ -260,7 +260,8 @@ def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
     within 1e-13 of the default's largest entry (exactly, where the default
     is zero), for every class, part by part where it returns a tuple; the
-    paired differences at x != x_tilde, and the two-timescale step with both
+    Jacobian correction and the variance-reduced step at x != x_tilde, whose
+    A, B and I differ, and the two-timescale step with both
     terms of its average nonzero, at j != i and at j = i (where policy
     evaluation's v puts both of its terms on one entry). The mean
     Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
@@ -288,15 +289,15 @@ def check_closed_forms_match_generic():
         js = is_ % prob.n2
         x, x_tilde, y, u = (rng.normal(size=d)
                             for d in (prob.dim_x, prob.dim_x, prob.dim_y, prob.dim_y))
+        snap = solvers.compute_snapshot(prob, x_tilde)
         half = prob.dim_y // 2
         sparse = np.zeros(prob.dim_y)
         sparse[rng.integers(half, size=2)] = rng.normal(size=2)
         sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
         for name, args in (("full_inner_value", (x,)), ("mean_outer_gradient", (y,)),
                            ("inner_vjp_batch", (js, x, u)),
-                           ("inner_value_diff_mean", (js, x_tilde, x)),
                            ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
-                           ("outer_gradient_mean", (is_, y)),
+                           ("variance_reduced_step", (snap, js, js[1:], is_ + 1, x)),
                            ("tracking_step", (js[3:], is_[1:2], x, y, 0.3)),
                            ("tracking_step", (js[:1], is_[2:3], x, y, 0.3)),
                            ("objective_and_gradient", (x,))):
@@ -312,8 +313,9 @@ def check_closed_forms_match_generic():
 
 
 def check_snapshot_cancellation():
-    """At the epoch snapshot each estimator equals its full-batch value; the
-    dense Jacobian estimate on the generic view, whose J_s is dense."""
+    """At the epoch snapshot each estimator, and each class's
+    variance-reduced step, equals its full-batch value; the dense Jacobian
+    estimate on the generic view, whose J_s is dense."""
     probs = [(prob, _generic_view(prob)) for prob in _compositions()]
     rng = RngStream(18)
     exact = True
@@ -329,8 +331,10 @@ def check_snapshot_cancellation():
         exact &= np.array_equal(solvers.estimate_inner_jacobian(dense, view, x, b), dense.J_s)
         v = solvers.estimate_gradient_vt(snap, prob, x, snap.G_s, b, i)
         exact &= np.array_equal(v, snap.grad_f_s)
+        v = prob.variance_reduced_step(snap, a, b, i, x.copy())
+        exact &= np.array_equal(v, snap.grad_f_s)
     return "estimators cancel exactly at the snapshot", exact, (
-        "value, Jacobian and gradient bitwise, every composition class"
+        "value, Jacobian, gradient and step bitwise, every composition class"
     )
 
 

@@ -51,13 +51,10 @@ class TestCounter:
         rng = RngStream(2)
         x = rng.normal(size=prob.dim_x)
         a, b, b1 = 4, 3, 5
-        g_hat = solvers.estimate_inner_value(
-            snap, cp, x, rng.integers(prob.n2, size=a)
-        )
-        solvers.estimate_gradient_vt(
-            snap, cp, x, g_hat, rng.integers(prob.n2, size=b),
-            rng.integers(prob.n1, size=b1),
-        )
+        args = (snap, rng.integers(prob.n2, size=a), rng.integers(prob.n2, size=b),
+                rng.integers(prob.n1, size=b1), x)
+        assert np.array_equal(cp.variance_reduced_step(*args),
+                              prob.variance_reduced_step(*args))
         assert counter.snapshot() == (2 * a, 2 * b, 2 * b1)
 
     def test_wrapper_is_transparent(self, prob):

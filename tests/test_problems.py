@@ -42,6 +42,12 @@ def small_linquad(seed=3, n1=8, n2=8, dim_y=5, dim_x=4):
     return gen_linquad(n1, n2, dim_y, dim_x, RngStream(seed))
 
 
+def in_place(change):
+    """A stored-document edit that change(doc) makes in place, as a function
+    that returns the edited document."""
+    return lambda doc: (change(doc), doc)[1]
+
+
 def dense_mean_jacobian(prob, x):
     """The mean inner Jacobian at x as a dense (M, N) matrix, read off the
     class's own operator through its `mean_inner_vjp`, one unit vector per row."""
@@ -314,37 +320,37 @@ def desk_portfolio():
 
 
 class TestPortfolioClosedForms:
-    """The two minibatch means of a `vrsc_pg` step against the generic defaults."""
+    """The `vrsc_pg` step in closed form against the generic default."""
 
     @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
                              ids=["small", "desk"])
     @pytest.mark.parametrize("idx", [[5], [3, 0, 3, 5, 3]])  # repeats included
     def test_match_the_generic_defaults(self, maker, idx):
+        # the minibatch means sum in another order than the default: within 1e-13
         prob, idx = maker(), np.array(idx)
         rng = RngStream(26)
         for _ in range(5):
             x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
-            y = rng.normal(size=prob.dim_y)
-            for got, want in (
-                (prob.inner_value_diff_mean(idx, x_tilde, x),
-                 CompositionProblem.inner_value_diff_mean(prob, idx, x_tilde, x)),
-                (prob.outer_gradient_mean(idx, y),
-                 CompositionProblem.outer_gradient_mean(prob, idx, y)),
-            ):
-                assert got.shape == (prob.dim_y,)
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            snap = compute_snapshot(prob, x_tilde)
+            args = (snap, idx, idx[::-1][:3], idx + 1, x)
+            got = prob.variance_reduced_step(*args)
+            want = CompositionProblem.variance_reduced_step(prob, *args)
+            assert got.shape == (prob.dim_x,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
                              ids=["small", "desk"])
     def test_inner_value_estimate_exact_at_the_snapshot(self, maker):
+        # at x = x_tilde the inner-value difference is exactly zero, so u = u_s
+        # and the step is the snapshot gradient
         prob = maker()
         rng = RngStream(27)
         for k in (1, 5):
             x = rng.normal(size=prob.dim_x)
             snap = compute_snapshot(prob, x)
-            js = rng.integers(prob.n2, size=k)
-            diff = prob.inner_value_diff_mean(js, x, x.copy())
-            assert not diff.any()
+            js, is_ = rng.integers(prob.n2, size=k), rng.integers(prob.n1, size=k)
+            assert np.array_equal(prob.variance_reduced_step(snap, js, js, is_, x.copy()),
+                                  snap.grad_f_s)
             assert np.array_equal(estimate_inner_value(snap, prob, x.copy(), js), snap.G_s)
 
 
@@ -405,24 +411,31 @@ class TestPolicyEvalLayout:
     @pytest.mark.parametrize("n_states", [8, 400])
     @pytest.mark.parametrize("is_", [[5], [3, 0, 3, 5, 3]])  # repeats included
     def test_outer_gradient_mean_equals_batch_sum(self, n_states, is_):
+        # with A = {j, j} and x_j = x_tilde_j both inner-value differences are
+        # exactly (d, 0): the step's scattered u and u_s are then bitwise the
+        # default's batch sums, and so is the whole step
         prob = PolicyEvalProblem(*gen_mdp(n_states, 3, RngStream(2)), 0.9)
-        is_ = np.array(is_)
+        is_, a_idx, b_idx = np.array(is_), np.array([4, 4]), np.array([1, 6, 1])
         rng = RngStream(22)
         for _ in range(5):
-            y = rng.normal(size=prob.dim_y)
-            assert np.array_equal(prob.outer_gradient_mean(is_, y),
-                                  prob.outer_gradient_batch(is_, y).sum(axis=0) / len(is_))
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            x[4] = x_tilde[4]
+            args = (compute_snapshot(prob, x_tilde), a_idx, b_idx, is_, x)
+            assert np.array_equal(prob.variance_reduced_step(*args),
+                                  CompositionProblem.variance_reduced_step(prob, *args))
 
     @pytest.mark.parametrize("js", [[5], [3, 0, 3, 5, 3]])
     def test_inner_value_diff_mean_near_generic(self, js):
-        # the closed form reads no R and sums in another order: within 1e-13
+        # the step's inner-value difference reads no R and sums in another
+        # order: within 1e-13
         prob = PolicyEvalProblem(*gen_mdp(400, 3, RngStream(3)), 0.95)
         js = np.array(js)
         rng = RngStream(23)
         for _ in range(5):
             x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
-            want = CompositionProblem.inner_value_diff_mean(prob, js, x_tilde, x)
-            got = prob.inner_value_diff_mean(js, x_tilde, x)
+            args = (compute_snapshot(prob, x_tilde), js, js, js[::-1], x)
+            want = CompositionProblem.variance_reduced_step(prob, *args)
+            got = prob.variance_reduced_step(*args)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_serialized_fields_are_the_inputs(self):
@@ -590,20 +603,27 @@ class TestSerialization:
             problem_from_dict({"kind": "mystery", "dims": {}})
 
     @pytest.mark.parametrize("edit, error, match", [
-        (lambda d: d.pop("kind"), ValueError, "^unknown problem kind: None"),
-        (lambda d: d.pop("b_vecs"), ValueError, "^stored linquad problem has no field 'b_vecs'"),
-        (lambda d: d["dims"].pop("n1"), TypeError, "^dims.n1 must be an integer, got None"),
-        (lambda d: d["b_vecs"].pop(), ValueError,
+        (in_place(lambda d: d.pop("kind")), ValueError, "^unknown problem kind: None"),
+        (in_place(lambda d: d.pop("b_vecs")), ValueError,
+         "^stored linquad problem has no field 'b_vecs'"),
+        (in_place(lambda d: d["dims"].pop("n1")), TypeError,
+         "^dims.n1 must be an integer, got None"),
+        (in_place(lambda d: d["b_vecs"].pop()), ValueError,
          r"^b_vecs must hold n1 \* M = 12 numbers, got 11"),
-        (lambda d: d["dims"].update(M=1.5), TypeError, "^dims.M must be an integer, got 1.5"),
-        (lambda d: d.pop("dims"), TypeError, "^dims must be an object, got None"),
+        (in_place(lambda d: d["dims"].update(M=1.5)), TypeError,
+         "^dims.M must be an integer, got 1.5"),
+        (in_place(lambda d: d.pop("dims")), TypeError, "^dims must be an object, got None"),
+        (in_place(lambda d: d.update(b_vecs=["a"])), ValueError,
+         "^b_vecs must be a flat list of numbers: could not convert"),
+        (in_place(lambda d: d.update(b_vecs=[[1.0, [2.0]]])), ValueError,
+         "^b_vecs must be a flat list of numbers: .*inhomogeneous"),
+        (lambda d: [d], TypeError, "^a stored problem must be a JSON object, got list"),
     ], ids=["kind_missing", "field_missing", "dim_missing", "data_short", "dim_not_int",
-            "dims_missing"])
+            "dims_missing", "data_not_numbers", "data_ragged", "not_an_object"])
     def test_malformed_document_names_what_is_wrong(self, edit, error, match, tmp_path):
         doc = problem_to_dict(gen_linquad(4, 3, 3, 2, RngStream(9)))
-        edit(doc)
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(edit(doc)))
         with pytest.raises(error, match=match):
             load_problem(path)
 

@@ -770,8 +770,7 @@ def per_step_vrsc_pg(problem, reg, cfg, **kw):
                 a_idx = sample_with_replacement(rng, problem.n2, cfg.A)
                 b_idx = sample_with_replacement(rng, problem.n2, cfg.B)
                 i_idx = sample_with_replacement(rng, problem.n1, cfg.b1)
-                g_hat = estimate_inner_value(snap, cp, x, a_idx)
-                v_t = estimate_gradient_vt(snap, cp, x, g_hat, b_idx, i_idx)
+                v_t = cp.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
                 x = reg.prox(x - cfg.eta * v_t, cfg.eta)
                 yield s, t + 1, x
 
