@@ -36,6 +36,7 @@ trace row, is built from these hooks. Inner maps that are affine in x
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -48,6 +49,12 @@ _JACOBIAN_CHUNK = 64
 # they are fewer than S / _SPARSE_SHARE; at S = 400 (1 BLAS thread) the
 # gathered product breaks even with the dense one near S / 4.
 _SPARSE_SHARE = 8
+
+
+def nonempty(indices):
+    if len(indices) == 0:
+        raise ValueError("index set must be nonempty")
+    return indices
 
 
 def paired_diff_mean(batch, js, x_tilde, x):
@@ -265,29 +272,21 @@ class PortfolioProblem(AffineInnerProblem):
     def mean_inner_vjp(self, jac, v):
         return v[: self.dim_x] + v[self.dim_x] * jac
 
-    def _outer_gradient_mean(self, r, y):
-        # ((t - 1)^T R_I, -sum t) / k with t = 2 (R_I w - z), in place
-        t = r.dot(y[: self.dim_x])
-        t -= y[self.dim_x]
-        t *= 2.0
-        out = np.empty(self.dim_y)
-        out[self.dim_x] = -t.sum() / len(r)
-        t -= 1.0
-        np.divide(t.dot(r), len(r), out=out[: self.dim_x])
-        return out
-
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
-        # G_j(x_tilde) - G_j(x) = (d, <r_j, d>) with d = x_tilde - x, summed in
-        # another order than the default, and u - u_s from the k rows R_I read
-        # once: no (k, N+1) stack, and ndarray.dot costs less than @ here. The
-        # zero Jacobian correction is not formed: (v - 0.0) + c is bitwise v + c
-        diff = np.empty(self.dim_y)
-        d = np.subtract(snap.x_tilde, x, out=diff[: self.dim_x])
-        diff[self.dim_x] = self.rewards.take(a_idx, axis=0).dot(d).sum() / len(a_idx)
+        # u - u_s as one difference: g_hat - G_s = -(d, delta) with d = x_tilde - x
+        # and delta = mean_A <r_a, d>, and grad F_i is affine in y, so t_i moves
+        # by dt_i = -2 (<r_i, d> - delta) and J_s^T (u - u_s) is
+        # (dt / k)^T R_I - (sum dt / k) r_bar = (dt / k)^T (R_I - r_bar). The k
+        # rows R_I are read once, no (k, N+1) stack is built, ndarray.dot and
+        # math.fsum cost less than @ and ndarray.sum here, and the zero
+        # Jacobian correction is not formed
+        nonempty(b_idx)
+        d = snap.x_tilde - x
         r = self.rewards.take(i_idx, axis=0)
-        u = self._outer_gradient_mean(r, snap.G_s - diff)
-        u -= self._outer_gradient_mean(r, snap.G_s)
-        return self.mean_inner_vjp(snap.J_s, u) + snap.grad_f_s
+        dt = r.dot(d)
+        dt -= math.fsum(self.rewards.take(nonempty(a_idx), axis=0).dot(d)) / len(a_idx)
+        dt *= -2.0 / len(nonempty(i_idx))
+        return dt.dot(r - snap.J_s) + snap.grad_f_s
 
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
@@ -399,20 +398,21 @@ class PolicyEvalProblem(AffineInnerProblem):
         return out
 
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
-        # G_j(x_tilde) - G_j(x) = (d, gamma S d_j P[:, j]) with d = x_tilde - x:
-        # R cancels, so only rows of P^T are read. u = (a, 0 - a) scatters the
-        # terms 2 r_i, each entry summing its own in index order as the default
-        # does, and 0 - a is bitwise its sum of the negated terms; likewise u_s.
-        # As in the portfolio's step, the zero Jacobian correction is not formed
+        # u - u_s as one difference: G_j(x_tilde) - G_j(x) = (d, gamma S d_j P[:, j])
+        # with d = x_tilde - x (R cancels), and grad F_i is affine in y, so u - u_s
+        # is (a, -a) with a the sum over I of w_i = 2 (e_i - d_i) / k at i, where
+        # e_i = (gamma S / |A|) sum_a d_a P[i, a] is read from the A x I block of
+        # P^T. Then J_s^T (u - u_s) = a - gamma P^T a, and P^T a = w^T P_I from
+        # the I rows of P. As in the portfolio's step, the zero Jacobian
+        # correction is not formed
+        nonempty(b_idx)
         s = self.n_states
         d = snap.x_tilde - x
-        diff = np.concatenate([d, (self.gamma * s / len(a_idx))
-                               * (d[a_idx] @ self._pt.take(a_idx, axis=0))])
-        i_t = s + i_idx
-        a, a_s = (np.bincount(i_idx, 2.0 * (y[i_idx] - y[i_t]), minlength=s) / len(i_idx)
-                  for y in (snap.G_s - diff, snap.G_s))
-        u = np.concatenate([a - a_s, (0.0 - a) - (0.0 - a_s)])
-        return self.mean_inner_vjp(snap.J_s, u) + snap.grad_f_s
+        e = ((self.gamma * s / len(nonempty(a_idx)))
+             * d[a_idx].dot(self._pt.take(a_idx, axis=0).take(i_idx, axis=1)))
+        w = (e - d[i_idx]) * (2.0 / len(nonempty(i_idx)))
+        return (np.bincount(i_idx, w, minlength=s)
+                - self.gamma * w.dot(snap.J_s.take(i_idx, axis=0)) + snap.grad_f_s)
 
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
@@ -448,8 +448,9 @@ class PolicyEvalProblem(AffineInnerProblem):
 
     def mean_inner_vjp(self, jac, v):
         # jac is P. P^T v[S:] is the sum of the rows of P weighted by v[S:].
-        # A step's v has at most b1 nonzeros there, so gather only their
-        # rows; a full pass's dense v takes the one dense product.
+        # The generic variance-reduced step's v has at most b1 nonzeros there,
+        # so gather only their rows; a full pass's dense v takes the one dense
+        # product.
         s = self.n_states
         w = v[s:]
         if np.count_nonzero(w) * _SPARSE_SHARE < s:

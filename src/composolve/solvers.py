@@ -37,7 +37,7 @@ import numpy as np
 from .metrics import DivergedError, TraceRecord, TraceRecorder
 from .numerics import RngStream, check_int, check_real, sample_with_replacement
 from .oracle import QueryCounter, counted, full_gradient_cost
-from .problems import FiniteSumProblem, paired_diff_mean
+from .problems import FiniteSumProblem, nonempty, paired_diff_mean
 
 
 class InvalidConfigError(ValueError):
@@ -108,15 +108,9 @@ def compute_snapshot(problem, x_tilde):
 # -- snapshot-corrected estimators --------------------------------------------
 
 
-def _nonempty(indices):
-    if len(indices) == 0:
-        raise ValueError("index set must be nonempty")
-    return indices
-
-
 def estimate_inner_value(snap, problem, x, a_indices):
     """Inner-value estimate G^s - mean_j (G_j(x_tilde) - G_j(x)); 2A queries."""
-    return snap.G_s - paired_diff_mean(problem.inner_value_batch, _nonempty(a_indices),
+    return snap.G_s - paired_diff_mean(problem.inner_value_batch, nonempty(a_indices),
                                        snap.x_tilde, x)
 
 
@@ -128,7 +122,7 @@ def estimate_inner_jacobian(snap, problem, x, b_indices):
     """
     if np.shape(snap.J_s) != (problem.dim_y, problem.dim_x):
         raise ValueError("estimate_inner_jacobian needs a dense J_s")
-    return snap.J_s - paired_diff_mean(problem.inner_jacobian_batch, _nonempty(b_indices),
+    return snap.J_s - paired_diff_mean(problem.inner_jacobian_batch, nonempty(b_indices),
                                        snap.x_tilde, x)
 
 
@@ -144,11 +138,11 @@ def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     and one `inner_vjp_diff_mean`, zero for affine inner maps; no Jacobian is
     built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde) exactly.
     """
-    k = len(_nonempty(i_indices))
+    k = len(nonempty(i_indices))
     u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / k
     u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / k
     return (problem.mean_inner_vjp(snap.J_s, u - u_s)
-            - problem.inner_vjp_diff_mean(_nonempty(b_indices), snap.x_tilde, x, u)
+            - problem.inner_vjp_diff_mean(nonempty(b_indices), snap.x_tilde, x, u)
             + snap.grad_f_s)
 
 
