@@ -51,7 +51,9 @@ class CountedCompositionProblem(CompositionProblem):
     the zero Jacobian correction of an affine class, not: a
     variance-reduced step over A, B and I costs 2 per index of each kind, the
     Jacobian correction alone 2 inner Jacobians per index, and a two-timescale
-    step over js and is_ one query of each kind per index. The product with
+    step over js and is_ one query of each kind per index. A step is charged
+    once the class's hook has returned, so a step the hook rejects, such as
+    one with an empty index set, costs nothing. The product with
     the mean Jacobian reuses what `full_inner_jacobian` paid for and costs
     nothing.
     """
@@ -103,12 +105,14 @@ class CountedCompositionProblem(CompositionProblem):
         return self._problem.inner_vjp_diff_mean(js, x_tilde, x, u)
 
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        v = self._problem.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
         self.counter.add(2 * len(a_idx), 2 * len(b_idx), 2 * len(i_idx))
-        return self._problem.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
+        return v
 
     def tracking_step(self, js, is_, x, y, beta):
+        y, v = self._problem.tracking_step(js, is_, x, y, beta)
         self.counter.add(len(js), len(js), len(is_))
-        return self._problem.tracking_step(js, is_, x, y, beta)
+        return y, v
 
 
 class CountedFiniteSumProblem(CountedCompositionProblem):

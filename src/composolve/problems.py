@@ -22,9 +22,12 @@ default built from them, which a subclass may override with a closed form
   variance-reduced step, the mean of paired differences (`paired_diff_mean`);
 - `variance_reduced_step(snap, a_idx, b_idx, i_idx, x)`: the gradient
   estimate of one variance-reduced step, whose generic default is the
-  estimators of the solvers module;
+  estimators of the solvers module; the portfolio, policy evaluation and
+  linquad form its correction J_s^T (u - u_s) as one difference;
 - `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
-  gradient estimate of one two-timescale step, at one index each.
+  gradient estimate of one two-timescale step, at one index each;
+- `objective_and_gradient(x)`: f(x) and grad f(x) for one trace row, whose
+  generic default is one full pass and the n1 outer values at its G(x).
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
@@ -44,11 +47,6 @@ from .numerics import RngStream, as_matrix, as_vector, check_int, check_real, re
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
-
-# Policy evaluation's snapshot product reads only the nonzero rows of P when
-# they are fewer than S / _SPARSE_SHARE; at S = 400 (1 BLAS thread) the
-# gathered product breaks even with the dense one near S / 4.
-_SPARSE_SHARE = 8
 
 
 def nonempty(indices):
@@ -447,16 +445,9 @@ class PolicyEvalProblem(AffineInnerProblem):
         return np.concatenate([r, -r])
 
     def mean_inner_vjp(self, jac, v):
-        # jac is P. P^T v[S:] is the sum of the rows of P weighted by v[S:].
-        # The generic variance-reduced step's v has at most b1 nonzeros there,
-        # so gather only their rows; a full pass's dense v takes the one dense
-        # product.
+        # jac is P, and (I; gamma P)^T v = v[:S] + gamma P^T v[S:]
         s = self.n_states
-        w = v[s:]
-        if np.count_nonzero(w) * _SPARSE_SHARE < s:
-            rows = np.flatnonzero(w)
-            return v[:s] + self.gamma * (w[rows] @ jac.take(rows, axis=0))
-        return v[:s] + self.gamma * (w @ jac)
+        return v[:s] + self.gamma * (v[s:] @ jac)
 
     def bellman_operator(self, x):
         return self.r_bar + self.gamma * (self.transition @ x)
@@ -529,6 +520,31 @@ class LinQuadProblem(AffineInnerProblem):
 
     def mean_outer_gradient(self, y):
         return y - self.b_bar
+
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        # u - u_s as one difference: the c_j cancel in G_a(x_tilde) - G_a(x), so
+        # g_hat - G_s = -delta with delta = mean_A Q_a d and d = x_tilde - x, and
+        # grad F_i(y) = y - b_i has identity Hessian, so u - u_s = -delta and
+        # J_s^T (u - u_s) = -Qbar^T delta. The |A| matrices are read with one
+        # take; as in the portfolio's step, the zero Jacobian correction is not
+        # formed
+        nonempty(b_idx)
+        nonempty(i_idx)
+        d = snap.x_tilde - x
+        delta = (self.q_mats.take(nonempty(a_idx), axis=0) @ d).sum(axis=0) / len(a_idx)
+        return snap.grad_f_s - delta.dot(snap.J_s)
+
+    def _outer_mean(self, g_bar):
+        # the generic outer values with b_i broadcast, not gathered by index:
+        # the same element operations, so bitwise equal
+        r = g_bar - self.b_vecs
+        return float((0.5 * (r * r).sum(axis=1)).mean())
+
+    def objective_and_gradient(self, x):
+        # one G(x), for the outer values and for Qbar^T (G(x) - b_bar): the
+        # generic row's operations without its second check of x
+        g_bar = self.full_inner_value(x)
+        return self._outer_mean(g_bar), self.q_bar.T @ (g_bar - self.b_bar)
 
     def hessian(self):
         return self.q_bar.T @ self.q_bar

@@ -265,8 +265,8 @@ def check_closed_forms_match_generic():
     terms of its average nonzero, at j != i and at j = i (where policy
     evaluation's v puts both of its terms on one entry). The mean
     Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
-    to a dense v, to a v with two nonzeros per half (at S = 24 policy
-    evaluation gathers for it) and to every unit vector, against the dense mean."""
+    to a dense v, to a v with two nonzeros per half and to every unit vector,
+    against the dense mean."""
     rng = RngStream(20)
     is_ = np.array([1, 0, 1, 2])  # repeated indices included
     worst, where = 0.0, "none"

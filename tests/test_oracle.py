@@ -57,6 +57,14 @@ class TestCounter:
                               prob.variance_reduced_step(*args))
         assert counter.snapshot() == (2 * a, 2 * b, 2 * b1)
 
+    def test_rejected_tracking_step_is_not_charged(self, prob):
+        # the step is charged once its hook returns: an empty js makes no query
+        cp, counter = counted(prob)
+        with pytest.raises(IndexError):
+            cp.tracking_step(np.array([], dtype=np.int64), np.array([0]),
+                             np.zeros(prob.dim_x), np.zeros(prob.dim_y), 0.5)
+        assert counter.snapshot() == (0, 0, 0)
+
     def test_wrapper_is_transparent(self, prob):
         rng = RngStream(3)
         p, r = gen_mdp(9, 3, rng)

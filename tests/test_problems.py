@@ -392,26 +392,6 @@ class TestPolicyEvalLayout:
             assert np.array_equal(prob.inner_vjp_batch(js, x, u),
                                   column_gather_inner_vjp(prob, js, x, u))
 
-    def test_snapshot_product_paths(self):
-        # a dense v keeps the one dense product, bitwise; a v with few
-        # nonzeros in its second half reads only their rows of P
-        prob = PolicyEvalProblem(*gen_mdp(400, 3, RngStream(3)), 0.95)
-        s = prob.n_states
-        rng = RngStream(21)
-        jac = prob.full_inner_jacobian(np.zeros(s))
-        # the dense (I; gamma P) that the operator P stands for
-        mean_jac = np.vstack([np.eye(s), prob.gamma * prob.transition])
-        dense = rng.normal(size=2 * s)
-        assert np.array_equal(prob.mean_inner_vjp(jac, dense),
-                              dense[:s] + prob.gamma * (dense[s:] @ prob.transition))
-        for k in (0, 1, 5, s // 8 - 1):
-            v = np.zeros(2 * s)
-            v[:s] = rng.normal(size=s)
-            v[s + rng.integers(s, size=k)] = rng.normal(size=k)
-            want = mean_jac.T @ v
-            got = prob.mean_inner_vjp(jac, v)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
-
     @pytest.mark.parametrize("js", [[5], [3, 0, 3, 5, 3]])
     def test_inner_value_diff_mean_near_generic(self, js):
         # the step's inner-value difference reads no R and sums in another
@@ -461,6 +441,17 @@ def exact_correction(prob, snap, a_idx, i_idx, x):
 
         def jac_t(c):
             return c[:-1] + c[-1] * exact(snap.J_s)
+    elif isinstance(prob, LinQuadProblem):
+        q, c_vecs, b = exact(prob.q_mats), exact(prob.c_vecs), exact(prob.b_vecs)
+
+        def inner(j, z):
+            return q[j] @ z + c_vecs[j]
+
+        def grad(i, y):
+            return y - b[i]
+
+        def jac_t(c):
+            return c @ exact(snap.J_s)
     else:
         s, gamma = prob.n_states, Fraction(prob.gamma)
         p, r = exact(prob.transition), exact(prob.reward)
@@ -482,12 +473,18 @@ def exact_correction(prob, snap, a_idx, i_idx, x):
     return jac_t(u - u_s)
 
 
-class TestVarianceReducedStep:
-    """The closed-form steps of the portfolio and policy evaluation form the
-    snapshot correction J_s^T (u - u_s) as one difference."""
+def bench_linquad():
+    """The linquad instance of the benchmark, with n1 != n2."""
+    return gen_linquad(64, 96, 12, 8, RngStream(1))
 
-    @pytest.mark.parametrize("maker", [desk_portfolio, lambda: small_policy_eval(n_states=24)],
-                             ids=["portfolio", "policy_eval"])
+
+class TestVarianceReducedStep:
+    """The closed-form steps of the portfolio, policy evaluation and linquad
+    form the snapshot correction J_s^T (u - u_s) as one difference."""
+
+    @pytest.mark.parametrize("maker", [desk_portfolio, lambda: small_policy_eval(n_states=24),
+                                       bench_linquad],
+                             ids=["portfolio", "policy_eval", "linquad"])
     @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-8])
     def test_fused_correction_at_least_as_accurate(self, maker, eps):
         # near the snapshot the correction is of the order of x - x_tilde while
@@ -495,7 +492,8 @@ class TestVarianceReducedStep:
         # the closed form builds the correction from d = x_tilde - x. With grad
         # f(x_tilde) set to zero in the snapshot, the step is the correction.
         # Worst relative errors measured at eps = 1e-2, 1e-5, 1e-8: the closed
-        # forms below 1e-15 at each, the generic default 1.8e-13, 1.8e-10, 1.0e-7
+        # forms below 1e-15 at each; the generic default 1.8e-13, 1.8e-10,
+        # 1.0e-7 on the portfolio and 2.6e-14, 1.3e-11, 3.4e-8 on linquad
         prob = maker()
         rng = RngStream(28)
         worst = {}
@@ -522,7 +520,7 @@ class TestVarianceReducedStep:
                              ids=["portfolio", "policy_eval", "linquad", "lasso"])
     def test_empty_index_set_rejected(self, maker, empty):
         # the generic default's error, from the closed forms and through the
-        # counted wrapper too
+        # counted wrapper too, which charges no query for it
         prob = maker()
         rng = RngStream(29)
         x = rng.normal(size=prob.dim_x)
@@ -530,9 +528,27 @@ class TestVarianceReducedStep:
         sets = {"A": rng.integers(prob.n2, size=3), "B": rng.integers(prob.n2, size=3),
                 "I": rng.integers(prob.n1, size=3)}
         sets[empty] = np.array([], dtype=np.int64)
-        for handle in (prob, counted(prob)[0]):
+        cp, counter = counted(prob)
+        for handle in (prob, cp):
             with pytest.raises(ValueError, match="index set must be nonempty"):
                 handle.variance_reduced_step(snap, sets["A"], sets["B"], sets["I"], x)
+        assert counter.snapshot() == (0, 0, 0)  # a rejected step is not charged
+
+
+class TestLinQuadRow:
+    @pytest.mark.parametrize("maker", [small_linquad, partial(small_linquad, n1=7, n2=9),
+                                       bench_linquad], ids=["square", "small", "bench"])
+    def test_row_and_objective_equal_the_generic_ones_bitwise(self, maker):
+        # the outer values with b_i broadcast and Qbar^T (G - b_bar) are the
+        # generic row's own element operations
+        prob = maker()
+        rng = RngStream(31)
+        for _ in range(5):
+            x = rng.normal(size=prob.dim_x)
+            f, g = prob.objective_and_gradient(x)
+            f_gen, g_gen = CompositionProblem.objective_and_gradient(prob, x)
+            assert f == f_gen and np.array_equal(g, g_gen)
+            assert prob.objective_f(x) == CompositionProblem.objective_f(prob, x) == f
 
 
 class TestPolicyEvalEmbedding:

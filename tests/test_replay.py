@@ -114,3 +114,23 @@ def test_a_zero_whose_sign_flips_is_the_least_change():
     assert report["first_difference"] == {"call": "a #1 vrsc_pg", "field": "rows[0].composite_grad_sq",
                                           "a": 0.0, "b": -0.0}
     assert report["per_solver"] == {"scpg_baseline": 0.0, "vrsc_pg": replay.LEAST_CHANGE}
+
+
+def test_largest_change_per_field_and_solver():
+    # x_final and each float trace field apart, so that a bound stated per
+    # field can be read off; the exit decision still reads the overall largest
+    a, b = fingerprints(), fingerprints()
+    b["calls"][1]["x_final"] = [0.5, 4.0 + 2.0**-50]
+    b["calls"][1]["x_sha"] = "moved"
+    b["calls"][1]["rows"][0][5] = 2.0 + 2.0**-51  # objective
+    b["calls"][1]["rows"][1][8] = 0.25 * (1 + 2.0**-40)  # composite_grad_sq
+    report = replay.diff(a, b, 1e-13)
+    assert report["per_field"] == {
+        "scpg_baseline": dict.fromkeys(
+            ["x_final", "objective", "gap", "grad_map_sq", "composite_grad_sq"], 0.0),
+        "vrsc_pg": {"x_final": 2.0**-52, "objective": 2.0**-52, "gap": 0.0,
+                    "grad_map_sq": 0.0, "composite_grad_sq": 2.0**-40},
+    }
+    assert report["largest"]["field"] == "rows[1].composite_grad_sq"
+    assert not report["within_bound"]
+    assert replay.diff(a, b, 1e-12)["within_bound"]

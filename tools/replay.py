@@ -24,7 +24,8 @@ being NaN changes by inf, as does any entry of an x_final that holds a NaN
 or an infinity. A change that moves no value, a zero whose sign flips or an
 x_final whose sha256 differs with every entry equal, is sized 5e-324 (the
 least positive double): it is a difference, and fails --bound 0 but no
-positive bound. Per solver it also prints the
+positive bound. Per solver it also prints the largest change of each value
+field, `x_final` and every float trace field (`per_field`), and the
 largest change of any row's gap relative to that row's objective,
 |gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
 gap is a difference of two close objectives, so its own relative change can
@@ -97,7 +98,6 @@ def record(root):
             with tempfile.TemporaryDirectory() as tmp:
                 wl.round(state, workloads.seed_order(0)[: wl.seeds_per_round], Path(tmp))
 
-        # at S = 50 a step's snapshot product reads the b1 = 5 gathered rows
         prob = problems.PolicyEvalProblem(*problems.gen_mdp(50, 4, RngStream(7)), 0.5)
         reg = regularizers.L1Penalty(1e-3)
         stage[0] = "edge/tol"
@@ -146,7 +146,7 @@ def diff(doc_a, doc_b, bound):
     """The comparison report of two fingerprint documents."""
     report = {"calls": len(doc_a["calls"]), "structure": None, "first_difference": None,
               "largest": {"rel": 0.0, "call": None, "field": None}, "per_solver": {},
-              "gap_per_objective": {}}
+              "per_field": {}, "gap_per_objective": {}}
     names_a = [c["call"] for c in doc_a["calls"]]
     names_b = [c["call"] for c in doc_b["calls"]]
     if doc_a["fields"] != doc_b["fields"] or names_a != names_b:
@@ -161,6 +161,9 @@ def diff(doc_a, doc_b, bound):
             report["first_difference"] = {"call": call["call"], "field": field, "a": a, "b": b}
         solver = call["solver"]
         report["per_solver"][solver] = max(report["per_solver"].get(solver, 0.0), rel)
+        per_field = report["per_field"].setdefault(solver, {})
+        name = field.rpartition(".")[2]  # rows[i].gap -> gap
+        per_field[name] = max(per_field.get(name, 0.0), rel)
         if rel > report["largest"]["rel"]:
             report["largest"] = {"rel": rel, "call": call["call"], "field": field}
 
@@ -182,11 +185,12 @@ def diff(doc_a, doc_b, bound):
         report["gap_per_objective"][ca["solver"]] = worst
         for i, (ra, rb) in enumerate(zip(ca["rows"], cb["rows"])):
             for field, a, b in zip(fields, ra, rb):
-                if field in EXACT_FIELDS and a != b:
+                if field not in EXACT_FIELDS:
+                    note(ca, f"rows[{i}].{field}", a, b, _rel(a, b))
+                elif a != b:
                     report["structure"] = f"{ca['call']}: rows[{i}].{field} {a} != {b}"
                     report["within_bound"] = False
                     return report
-                note(ca, f"rows[{i}].{field}", a, b, _rel(a, b))
     report["within_bound"] = report["largest"]["rel"] <= bound
     return report
 
