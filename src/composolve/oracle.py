@@ -48,14 +48,12 @@ class CountedCompositionProblem(CompositionProblem):
     forms or generic loops, at their per-index cost: n2 inner values, n2
     inner Jacobians, or n1 outer gradients. A step of a stochastic solver is
     charged once per call, whether the class evaluates every term or, as for
-    the zero Jacobian correction of an affine class, not: a
-    variance-reduced step over A, B and I costs 2 per index of each kind, the
-    Jacobian correction alone 2 inner Jacobians per index, and a two-timescale
+    the zero Jacobian correction of an affine class, not: a variance-reduced
+    step over A, B and I costs 2 per index of each kind, and a two-timescale
     step over js and is_ one query of each kind per index. A step is charged
     once the class's hook has returned, so a step the hook rejects, such as
-    one with an empty index set, costs nothing. The product with
-    the mean Jacobian reuses what `full_inner_jacobian` paid for and costs
-    nothing.
+    one with an empty index set, costs nothing. The product with the mean
+    Jacobian reuses what `full_inner_jacobian` paid for and costs nothing.
     """
 
     def __init__(self, problem):
@@ -100,10 +98,6 @@ class CountedCompositionProblem(CompositionProblem):
         self.counter.add(outer_gradient=self.n1)
         return self._problem.mean_outer_gradient(y)
 
-    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
-        self.counter.add(inner_jacobian=2 * len(js))
-        return self._problem.inner_vjp_diff_mean(js, x_tilde, x, u)
-
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
         v = self._problem.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
         self.counter.add(2 * len(a_idx), 2 * len(b_idx), 2 * len(i_idx))
@@ -117,12 +111,9 @@ class CountedCompositionProblem(CompositionProblem):
 
 class CountedFiniteSumProblem(CountedCompositionProblem):
     """Counting wrapper for plain finite sums: a counted composition, plus the
-    component evaluators that Proximal SVRG reads. A component gradient is an
-    outer gradient and costs one query of that kind; component values are free.
+    component gradients that Proximal SVRG reads, each an outer gradient that
+    costs one query of that kind.
     """
-
-    def comp_value_batch(self, is_, x):
-        return self._problem.comp_value_batch(is_, x)
 
     def comp_gradient_batch(self, is_, x):
         self.counter.add(outer_gradient=len(is_))

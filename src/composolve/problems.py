@@ -18,8 +18,6 @@ default built from them, which a subclass may override with a closed form
   `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
   returned;
-- `inner_vjp_diff_mean(js, x_tilde, x, u)`: the Jacobian correction of a
-  variance-reduced step, the mean of paired differences (`paired_diff_mean`);
 - `variance_reduced_step(snap, a_idx, b_idx, i_idx, x)`: the gradient
   estimate of one variance-reduced step, whose generic default is the
   estimators of the solvers module; the portfolio, policy evaluation and
@@ -34,8 +32,10 @@ dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
 Qbar in the shipped classes. Problems keep read-only copies of their inputs.
 
 The full pass, and so the full gradient, the epoch snapshot and every
-trace row, is built from these hooks. Inner maps that are affine in x
-(`AffineInnerProblem`) have a zero Jacobian correction.
+trace row, is built from these hooks. The Jacobian correction of a
+variance-reduced step is not a hook: `solvers.estimate_gradient_vt` forms it
+from `inner_vjp_batch` alone, and it is zero for the shipped classes, whose
+inner maps are affine in x.
 """
 
 import json
@@ -136,12 +136,6 @@ class CompositionProblem:
 
     # -- one step of each stochastic solver -------------------------------------
 
-    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
-        """mean_j (J_j(x_tilde)^T u - J_j(x)^T u), shape (N,); 2 len(js)
-        inner-Jacobian queries."""
-        return paired_diff_mean(lambda js, z: self.inner_vjp_batch(js, z, u),
-                                js, x_tilde, x)
-
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
         """v_t of one variance-reduced step at x from the epoch snapshot snap:
         `solvers.estimate_gradient_vt` over B and I at `estimate_inner_value`
@@ -184,19 +178,7 @@ class CompositionProblem:
         return self._outer_mean(g_bar), grad
 
 
-class AffineInnerProblem(CompositionProblem):
-    """A composition problem whose inner maps are affine in x.
-
-    J_j does not depend on x, so the Jacobian correction is zero. The class's
-    `inner_vjp_batch` must not read x: the generic difference of two equal
-    products is then exactly zero too, and the closed form changes no bit.
-    """
-
-    def inner_vjp_diff_mean(self, js, x_tilde, x, u):
-        return np.zeros(self.dim_x)
-
-
-class PortfolioProblem(AffineInnerProblem):
+class PortfolioProblem(CompositionProblem):
     """Mean-variance portfolio objective as a two-level composition.
 
     With per-period rewards r_1..r_n the objective is
@@ -316,7 +298,7 @@ class PortfolioProblem(AffineInnerProblem):
         return float(-d.mean() + ((d - d.mean()) ** 2).mean())
 
 
-class PolicyEvalProblem(AffineInnerProblem):
+class PolicyEvalProblem(CompositionProblem):
     """Tabular policy evaluation as a composition of Bellman residuals.
 
     The decision variable is the value table V in R^S. The inner index j
@@ -463,7 +445,7 @@ class PolicyEvalProblem(AffineInnerProblem):
         return np.linalg.solve(a, self.r_bar)
 
 
-class LinQuadProblem(AffineInnerProblem):
+class LinQuadProblem(CompositionProblem):
     """Affine inner maps with quadratic outer losses; closed-form optimum.
 
     G_j(x) = Q_j x + c_j and F_i(y) = 0.5 ||y - b_i||^2, so the composite
@@ -575,12 +557,13 @@ class LinQuadProblem(AffineInnerProblem):
         )
 
 
-class FiniteSumProblem(AffineInnerProblem):
+class FiniteSumProblem(CompositionProblem):
     """Plain finite sum min (1/n) sum_i f_i(x): the composition whose one inner
     map is the identity (n1 = n, n2 = 1, dim_y = dim_x), so that the mean
-    inner Jacobian needs no data, and whose outer functions are the f_i. A
-    subclass calls __init__(n, dim_x) and implements the component evaluators
-    f_i(x) and grad f_i(x), batched like the outer ones, for Proximal SVRG.
+    inner Jacobian needs no data and J^T u is u, and whose outer functions are
+    the f_i. A subclass calls __init__(n, dim_x) and implements the component
+    evaluators f_i(x) and grad f_i(x), batched like the outer ones, for
+    Proximal SVRG.
     """
 
     def __init__(self, n, dim_x):
@@ -600,6 +583,11 @@ class FiniteSumProblem(AffineInnerProblem):
     def inner_jacobian_batch(self, js, x):
         return np.tile(np.eye(self.dim_x), (len(js), 1, 1))
 
+    def inner_vjp_batch(self, js, x, u):
+        # u once per index, with no (k, N, N) identity stack; the paired
+        # difference of two such stacks, the Jacobian correction, is exactly zero
+        return np.tile(u, (len(js), 1))
+
     def outer_value_batch(self, is_, y):
         return self.comp_value_batch(is_, y)
 
@@ -607,13 +595,11 @@ class FiniteSumProblem(AffineInnerProblem):
         return self.comp_gradient_batch(is_, y)
 
     def full_inner_jacobian(self, x):
+        self._check_x(x)
         return None
 
     def mean_inner_vjp(self, jac, v):
         return v
-
-    def objective_and_gradient(self, x):  # G(x) = x: no full pass
-        return self.objective_f(x), self.mean_outer_gradient(x)
 
 
 class LassoProblem(FiniteSumProblem):
@@ -639,7 +625,7 @@ class LassoProblem(FiniteSumProblem):
         return r[:, None] * self.design[is_]
 
     def _residual(self, x):
-        return self.design @ x - self.targets
+        return self.design @ self._check_x(x) - self.targets
 
     def objective_f(self, x):
         r = self._residual(x)
@@ -647,6 +633,11 @@ class LassoProblem(FiniteSumProblem):
 
     def mean_outer_gradient(self, y):
         return self.design.T @ self._residual(y) / self.n
+
+    def objective_and_gradient(self, x):
+        # G(x) = x, so no full pass: Ax - y once, for f(x) and A^T (Ax - y) / n
+        r = self._residual(x)
+        return float((0.5 * r * r).mean()), self.design.T @ r / self.n
 
     def least_squares_solution(self):
         sol, *_ = np.linalg.lstsq(self.design, self.targets, rcond=None)

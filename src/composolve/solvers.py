@@ -135,15 +135,17 @@ def estimate_gradient_vt(snap, problem, x, g_hat, b_indices, i_indices):
     j_hat^T u - J_s^T u_s + grad f(x_tilde)
       = J_s^T (u - u_s) - mean_j (J_j(x_tilde)^T u - J_j(x)^T u) + grad f(x_tilde):
     one product with the snapshot Jacobian, by the problem's `mean_inner_vjp`,
-    and one `inner_vjp_diff_mean`, zero for affine inner maps; no Jacobian is
-    built. At x = x_tilde and g_hat = G^s it is grad f(x_tilde) exactly.
+    and the Jacobian correction, the `paired_diff_mean` of `inner_vjp_batch`
+    over B, which is exactly zero when that batch does not read x (affine inner
+    maps); no Jacobian is built. At x = x_tilde and g_hat = G^s it is
+    grad f(x_tilde) exactly.
     """
     k = len(nonempty(i_indices))
     u = problem.outer_gradient_batch(i_indices, g_hat).sum(axis=0) / k
     u_s = problem.outer_gradient_batch(i_indices, snap.G_s).sum(axis=0) / k
-    return (problem.mean_inner_vjp(snap.J_s, u - u_s)
-            - problem.inner_vjp_diff_mean(nonempty(b_indices), snap.x_tilde, x, u)
-            + snap.grad_f_s)
+    correction = paired_diff_mean(lambda js, z: problem.inner_vjp_batch(js, z, u),
+                                  nonempty(b_indices), snap.x_tilde, x)
+    return problem.mean_inner_vjp(snap.J_s, u - u_s) - correction + snap.grad_f_s
 
 
 # -- solvers ------------------------------------------------------------------

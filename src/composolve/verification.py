@@ -204,10 +204,11 @@ def check_query_exactness():
 def check_counting_transparency():
     """The counted handle returns the raw problem's numbers bitwise and
     charges exactly the per-index cost model, for every class; a counted full
-    pass on the lasso pays (1, 1, n), like any other with n2 = 1."""
+    pass on the lasso pays (1, 1, n), like any other with n2 = 1. Every public
+    method the handle offers has a row, so that none escapes the check."""
     rng = RngStream(17)
     is_ = np.array([1, 0, 1, 2])  # repeated indices included
-    k, same = len(is_), True
+    k, same, untested = len(is_), True, set()
 
     def same_and_charged(cp, counter, prob, name, args, charge):
         before = counter.snapshot()
@@ -243,16 +244,16 @@ def check_counting_transparency():
             ("inner_vjp_batch", (js, x, u), (0, k, 0)),
             ("outer_gradient_batch", (is_, y), (0, 0, k)),
             ("outer_value_batch", (is_, y), (0, 0, 0)),
-            ("inner_vjp_diff_mean", (js, x_tilde, x, u), (0, 2 * k, 0)),
         ]
         if isinstance(prob, problems.FiniteSumProblem):
-            table += [("comp_gradient_batch", (is_, x), (0, 0, k)),
-                      ("comp_value_batch", (is_, x), (0, 0, 0))]
+            table.append(("comp_gradient_batch", (is_, x), (0, 0, k)))
         for name, args, charge in table:
             same &= same_and_charged(cp, counter, prob, name, args, charge)
-    return "counting wrapper changes no numbers", same, (
+        untested |= {name for name in dir(cp) if not name.startswith("_")
+                     and callable(getattr(cp, name))} - {row[0] for row in table}
+    return "counting wrapper changes no numbers", same and not untested, (
         "bitwise results and exact charges of every counted method, every class "
-        "and the generic defaults"
+        "and the generic defaults" + (f"; no row for {sorted(untested)}" if untested else "")
     )
 
 
@@ -260,13 +261,12 @@ def check_closed_forms_match_generic():
     """Every closed-form override equals the base class's generic default,
     within 1e-13 of the default's largest entry (exactly, where the default
     is zero), for every class, part by part where it returns a tuple; the
-    Jacobian correction and the variance-reduced step at x != x_tilde, whose
-    A, B and I differ, and the two-timescale step with both
-    terms of its average nonzero, at j != i and at j = i (where policy
-    evaluation's v puts both of its terms on one entry). The mean
-    Jacobian, the class's own operator data, is applied by its `mean_inner_vjp`
-    to a dense v, to a v with two nonzeros per half and to every unit vector,
-    against the dense mean."""
+    variance-reduced step at x != x_tilde, whose A, B and I differ, and the
+    two-timescale step with both terms of its average nonzero, at j != i and
+    at j = i (where policy evaluation's v puts both of its terms on one
+    entry). The mean Jacobian, the class's own operator data, is applied by
+    its `mean_inner_vjp` to a dense v, to a v with two nonzeros per half and
+    to every unit vector, against the dense mean."""
     rng = RngStream(20)
     is_ = np.array([1, 0, 1, 2])  # repeated indices included
     worst, where = 0.0, "none"
@@ -296,7 +296,6 @@ def check_closed_forms_match_generic():
         sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
         for name, args in (("full_inner_value", (x,)), ("mean_outer_gradient", (y,)),
                            ("inner_vjp_batch", (js, x, u)),
-                           ("inner_vjp_diff_mean", (js, x_tilde, x, u)),
                            ("variance_reduced_step", (snap, js, js[1:], is_ + 1, x)),
                            ("tracking_step", (js[3:], is_[1:2], x, y, 0.3)),
                            ("tracking_step", (js[:1], is_[2:3], x, y, 0.3)),

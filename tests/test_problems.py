@@ -28,7 +28,7 @@ from composolve.problems import (
     problem_to_dict,
     save_problem,
 )
-from composolve.solvers import compute_snapshot, estimate_inner_value
+from composolve.solvers import compute_snapshot, estimate_gradient_vt, estimate_inner_value
 from test_solvers import QuarticOuterProblem, TanhInnerProblem
 
 
@@ -248,38 +248,31 @@ AFFINE_PROBLEMS = {
     "portfolio": small_portfolio,
     "policy_eval": small_policy_eval,
     "linquad": small_linquad,
+    "lasso": lambda: gen_lasso(10, 4, RngStream(5)),
 }
 
 
-class TestVjpDiffMean:
-    """The Jacobian correction mean_j (J_j(x_tilde) - J_j(x))^T u of a step."""
+class TestJacobianCorrection:
+    """The Jacobian correction mean_j (J_j(x_tilde) - J_j(x))^T u of the
+    estimator is exactly zero on the shipped classes, whose inner maps are
+    affine: off the snapshot, the generic gradient estimate is its other
+    terms, bitwise."""
 
     @pytest.mark.parametrize("kind", sorted(AFFINE_PROBLEMS))
-    def test_affine_zero_is_the_generic_default(self, kind):
+    def test_estimate_is_the_snapshot_terms_bitwise(self, kind):
         prob = AFFINE_PROBLEMS[kind]()
         rng = RngStream(24)
-        js = np.array([3, 0, 3, 5, 1, 3])  # repeated indices included
         for _ in range(5):
             x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
-            u = rng.normal(size=prob.dim_y)
-            got = prob.inner_vjp_diff_mean(js, x_tilde, x, u)
-            want = CompositionProblem.inner_vjp_diff_mean(prob, js, x_tilde, x, u)
-            assert got.shape == (prob.dim_x,)
-            assert np.array_equal(got, want)
-
-    def test_nonlinear_generic_default_nonzero_off_snapshot(self):
-        prob = TanhInnerProblem()
-        rng = RngStream(25)
-        js = np.array([3, 0, 3, 5, 1])
-        for _ in range(5):
-            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
-            u = rng.normal(size=prob.dim_y)
-            got = prob.inner_vjp_diff_mean(js, x_tilde, x, u)
-            jac_diff = (prob.inner_jacobian_batch(js, x_tilde)
-                        - prob.inner_jacobian_batch(js, x)).mean(axis=0)
-            assert np.max(np.abs(got)) > 1e-3
-            assert np.max(np.abs(got - u @ jac_diff)) <= 1e-13 * np.max(np.abs(got))
-            assert not np.any(prob.inner_vjp_diff_mean(js, x_tilde, x_tilde, u))
+            snap = compute_snapshot(prob, x_tilde)
+            a, b = rng.integers(prob.n2, size=4), rng.integers(prob.n2, size=6)
+            i = rng.integers(prob.n1, size=5)
+            g_hat = estimate_inner_value(snap, prob, x, a)
+            u, u_s = (prob.outer_gradient_batch(i, y).sum(axis=0) / len(i)
+                      for y in (g_hat, snap.G_s))
+            want = prob.mean_inner_vjp(snap.J_s, u - u_s) + snap.grad_f_s
+            got = estimate_gradient_vt(snap, prob, x, g_hat, b, i)
+            assert got.shape == (prob.dim_x,) and got.tobytes() == want.tobytes()
 
 
 class TestPortfolioEmbedding:
@@ -668,6 +661,7 @@ class TestLasso:
         js, is_ = np.zeros(3, dtype=np.int64), np.array([4, 0, 4])
         assert np.array_equal(prob.inner_value_batch(js, x), [x] * 3)
         assert np.array_equal(prob.inner_jacobian_batch(js, x), [np.eye(4)] * 3)
+        assert np.array_equal(prob.inner_vjp_batch(js, x, -x), [-x] * 3)
         assert np.array_equal(prob.outer_value_batch(is_, x), prob.comp_value_batch(is_, x))
         assert np.array_equal(prob.outer_gradient_batch(is_, x),
                               prob.comp_gradient_batch(is_, x))

@@ -22,7 +22,13 @@ from composolve.metrics import (
     gradient_mapping,
     objective_H,
 )
-from composolve.oracle import counted, full_gradient_cost, scpg_cost, vrsc_pg_cost
+from composolve.oracle import (
+    QueryCounter,
+    counted,
+    full_gradient_cost,
+    scpg_cost,
+    vrsc_pg_cost,
+)
 from composolve.regularizers import L1Penalty, ZeroPenalty
 from composolve import solvers, verification
 from composolve.solvers import (
@@ -339,6 +345,23 @@ class TestNonlinearInnerCorrection:
             dense = j_hat.T @ u - snap.J_s.T @ u_s + snap.grad_f_s
             v = estimate_gradient_vt(snap, prob, x, g_hat, b_idx, i_idx)
             assert np.max(np.abs(v - dense)) <= 1e-12
+
+    def test_correction_is_the_mean_jacobian_difference(self):
+        # with g_hat = G_s, u = u_s, and with grad f(x_tilde) zeroed in the
+        # snapshot, the estimate is minus the Jacobian correction alone
+        prob = TanhInnerProblem()
+        rng = RngStream(25)
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            snap = replace(compute_snapshot(prob, x_tilde), grad_f_s=np.zeros(prob.dim_x))
+            b_idx = sample_with_replacement(rng, prob.n2, 5)
+            i_idx = sample_with_replacement(rng, prob.n1, 4)
+            u = prob.outer_gradient_batch(i_idx, snap.G_s).sum(axis=0) / len(i_idx)
+            got = -estimate_gradient_vt(snap, prob, x, snap.G_s, b_idx, i_idx)
+            jac_diff = (prob.inner_jacobian_batch(b_idx, x_tilde)
+                        - prob.inner_jacobian_batch(b_idx, x)).mean(axis=0)
+            assert np.max(np.abs(got)) > 1e-3
+            assert np.max(np.abs(got - u @ jac_diff)) <= 1e-13 * np.max(np.abs(got))
 
     def test_correction_vanishes_at_snapshot(self):
         prob = TanhInnerProblem()
@@ -662,6 +685,25 @@ class TestBudgets:
         assert res.n_iters % 4 != 0  # the budget ends between strides
         assert res.trace[-1].objective == objective_H(prob, reg, res.x_final)
         assert res.trace[-1].queries == res.counter.total
+
+
+class TestRunPoints:
+    """A start point or reference optimum of the wrong length fails with the
+    problem's own message before any query, on every composition class."""
+
+    @pytest.mark.parametrize("point", ["x0", "x_star"])
+    @pytest.mark.parametrize("prob", verification._compositions(), ids=lambda p: p.kind)
+    def test_wrong_length_rejected_before_any_query(self, prob, point, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a query was charged")
+
+        monkeypatch.setattr(QueryCounter, "add", refuse)
+        reg, cfg = L1Penalty(1e-3), VrscpgConfig(eta=0.05, m=3, S_epochs=2, A=2, B=2, b1=2)
+        for run in (lambda **kw: vrsc_pg(prob, reg, cfg, **kw),
+                    lambda **kw: prox_full_gradient(prob, reg, 0.05, 3, **kw)):
+            for n in (prob.dim_x - 1, prob.dim_x + 1):
+                with pytest.raises(ValueError, match=f"^x must have length {prob.dim_x},"):
+                    run(**{point: np.zeros(n)})
 
 
 class TestDivergence:

@@ -5,27 +5,29 @@
 
 `--out` runs, in one process, one round of each workload that
 perfbench/workloads.py defines (the pool seeds that workload seed 0
-visits first), then three edge runs on a small policy-evaluation
-instance: a `tol` stop, a query budget that ends an epoch midway, and a
-divergence. Every call of the solvers' shared loop (`solvers._drive`),
-the step-size sweeps' trials and reference solves included, gives one
-fingerprint: the sha256 of x_final, the iteration count, the query
-triple, and every trace field but wall_ms, with the values, so that a
-diff can size a change. A diverged call gives its finite rows and the
+visits first), then six edge runs: on a small policy-evaluation
+instance a `tol` stop, a query budget that ends an epoch midway, and a
+divergence; then the shipped steps that take a generic default and no
+workload runs, `vrsc_pg` and `scpg_baseline` on a small lasso and
+`scpg_baseline` on a small linquad. Every call of the solvers' shared loop
+(`solvers._drive`), the step-size sweeps' trials and reference solves
+included, gives one fingerprint: the sha256 of x_final, the iteration
+count, the query triple, and every trace field but wall_ms, with the values,
+so that a diff can size a change. A diverged call gives its finite rows and the
 queries spent, from the error's counter. `--root` runs another
 checkout's src/ and perfbench/ instead of this one's, so that a change
 can be set against its parent; a checkout whose `DivergedError` carries
 no counter is recorded with its own copy of this tool.
 
 `--diff` prints, as JSON, the first call and field that differ and the
-largest relative change, overall and per solver: |a - b| / |a| for a row
-value, max |a - b| / max |a| for x_final; a value that turns NaN or stops
-being NaN changes by inf, as does any entry of an x_final that holds a NaN
-or an infinity. A change that moves no value, a zero whose sign flips or an
-x_final whose sha256 differs with every entry equal, is sized 5e-324 (the
-least positive double): it is a difference, and fails --bound 0 but no
-positive bound. Per solver it also prints the largest change of each value
-field, `x_final` and every float trace field (`per_field`), and the
+largest relative change: |a - b| / |a| for a row value, max |a - b| / max |a|
+for x_final; a value that turns NaN or stops being NaN changes by inf, as
+does any entry of an x_final that holds a NaN or an infinity. A change that
+moves no value, a zero whose sign flips or an x_final whose sha256 differs
+with every entry equal, is sized 5e-324 (the least positive double): it is a
+difference, and fails --bound 0 but no positive bound. Per solver it also
+prints the largest change of each value field, `x_final` and every float
+trace field (`per_field`, whose largest entry is the solver's), and the
 largest change of any row's gap relative to that row's objective,
 |gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
 gap is a difference of two close objectives, so its own relative change can
@@ -115,6 +117,17 @@ def record(root):
             pass
         else:
             raise RuntimeError("the divergence run must diverge")
+
+        lasso, reg = problems.gen_lasso(40, 8, RngStream(12)), regularizers.L1Penalty(1e-2)
+        stage[0] = "edge/lasso_vrsc_pg"
+        cfg = solvers.VrscpgConfig(eta=0.3, m=20, S_epochs=5, A=2, B=2, b1=3, seed=4)
+        solvers.vrsc_pg(lasso, reg, cfg, trace_stride=3)
+        scpg = dict(alpha0=0.1, beta0=1.0, exp_alpha=0.75, exp_beta=0.5, iters=200,
+                    seed=5, trace_stride=7)
+        stage[0] = "edge/lasso_scpg"
+        solvers.scpg_baseline(lasso, reg, **scpg)
+        stage[0] = "edge/linquad_scpg"
+        solvers.scpg_baseline(problems.gen_linquad(12, 9, 6, 5, RngStream(8)), reg, **scpg)
     finally:
         solvers._drive = drive
     return {"fields": fields, "calls": calls}
@@ -145,7 +158,7 @@ def _rel_vec(xa, xb):
 def diff(doc_a, doc_b, bound):
     """The comparison report of two fingerprint documents."""
     report = {"calls": len(doc_a["calls"]), "structure": None, "first_difference": None,
-              "largest": {"rel": 0.0, "call": None, "field": None}, "per_solver": {},
+              "largest": {"rel": 0.0, "call": None, "field": None},
               "per_field": {}, "gap_per_objective": {}}
     names_a = [c["call"] for c in doc_a["calls"]]
     names_b = [c["call"] for c in doc_b["calls"]]
@@ -159,9 +172,7 @@ def diff(doc_a, doc_b, bound):
     def note(call, field, a, b, rel):
         if rel and report["first_difference"] is None:
             report["first_difference"] = {"call": call["call"], "field": field, "a": a, "b": b}
-        solver = call["solver"]
-        report["per_solver"][solver] = max(report["per_solver"].get(solver, 0.0), rel)
-        per_field = report["per_field"].setdefault(solver, {})
+        per_field = report["per_field"].setdefault(call["solver"], {})
         name = field.rpartition(".")[2]  # rows[i].gap -> gap
         per_field[name] = max(per_field.get(name, 0.0), rel)
         if rel > report["largest"]["rel"]:
