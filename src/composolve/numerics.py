@@ -1,4 +1,4 @@
-"""Dense numeric primitives: validated arrays and scalars, seeded streams,
+"""Dense numeric primitives: checked integers and numbers, seeded streams,
 derivative checks."""
 
 import math
@@ -60,30 +60,6 @@ def read_only(a):
     """a, made read-only in place: for arrays that an object owns and shares."""
     a.setflags(write=False)
     return a
-
-
-def as_vector(x, name="x"):
-    """A validated finite 1-D float64 read-only copy of x."""
-    v = read_only(np.array(x, dtype=np.float64))
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def as_matrix(a, name="a", rows=None, cols=None):
-    """A validated finite 2-D float64 read-only copy of a, optionally shape-checked."""
-    m = read_only(np.array(a, dtype=np.float64))
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"{name} must have {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"{name} must have {cols} cols, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def sample_with_replacement(rng, n, k):

@@ -29,7 +29,10 @@ default built from them, which a subclass may override with a closed form
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
-Qbar in the shipped classes. Problems keep read-only copies of their inputs.
+Qbar in the shipped classes. A class declares its stored fields and the
+names of their axes once, in `fields`: its constructor keeps read-only
+copies checked against them, and `generate_problem` and the JSON form read
+them too.
 
 The full pass, and so the full gradient, the epoch snapshot and every
 trace row, is built from these hooks. The Jacobian correction of a
@@ -43,7 +46,7 @@ import math
 
 import numpy as np
 
-from .numerics import RngStream, as_matrix, as_vector, check_int, check_real, read_only
+from .numerics import RngStream, check_int, check_real, read_only
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
@@ -73,6 +76,38 @@ class CompositionProblem:
     n2 = None
     dim_x = None
     dim_y = None
+
+    # Stored field -> the names of its axes, in constructor order; a scalar
+    # field has none.
+    fields = {}
+
+    @classmethod
+    def _check_fields(cls, *values):
+        """(read-only float64 copies of values, {axis name: size}) for the
+        array fields of `fields`, in order. A value that is no array of
+        numbers, or a copy with the wrong number of axes, an axis below 1 or
+        unlike the same-named axis before it, or a non-finite entry raises a
+        ValueError that names the field."""
+        arrays, dims = [], {}
+        for (name, axes), value in zip([(f, a) for f, a in cls.fields.items() if a], values,
+                                       strict=True):
+            try:
+                a = read_only(np.array(value, dtype=np.float64))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{name} must be an array of numbers: {err}") from None
+            if a.ndim != len(axes):
+                raise ValueError(f"{name} has shape {a.shape}: its axes must be "
+                                 f"({', '.join(axes)})")
+            for axis, size in zip(axes, a.shape):
+                if size < 1:
+                    raise ValueError(f"{name} has shape {a.shape}: axis {axis} must be >= 1")
+                if dims.setdefault(axis, size) != size:
+                    raise ValueError(f"{name} has shape {a.shape}: axis {axis} must be "
+                                     f"{dims[axis]}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains non-finite entries")
+            arrays.append(a)
+        return arrays, dims
 
     # -- per-index evaluators -------------------------------------------------
 
@@ -190,16 +225,16 @@ class PortfolioProblem(CompositionProblem):
     """
 
     kind = "portfolio"
+    fields = {"rewards": ("n", "N")}
 
     def __init__(self, rewards):
-        rewards = as_matrix(rewards, "rewards")
+        (rewards,), dims = self._check_fields(rewards)
         if not np.all(rewards > 0):
             raise ValueError("all rewards must be strictly positive")
         self.rewards = rewards
-        n, dim = rewards.shape
-        self.n1 = self.n2 = n
-        self.dim_x = dim
-        self.dim_y = dim + 1
+        self.n1 = self.n2 = dims["n"]
+        self.dim_x = dims["N"]
+        self.dim_y = self.dim_x + 1
         self.r_bar = read_only(rewards.mean(axis=0))
 
     # The evaluators gather reward rows with take, which costs a third of
@@ -309,13 +344,11 @@ class PolicyEvalProblem(CompositionProblem):
     """
 
     kind = "policy_eval"
+    fields = {"transition": ("S", "S"), "reward": ("S", "S"), "gamma": ()}
 
     def __init__(self, transition, reward, gamma):
-        transition = as_matrix(transition, "transition")
-        s = transition.shape[0]
-        reward = as_matrix(reward, "reward", rows=s, cols=s)
-        if transition.shape[1] != s:
-            raise ValueError("transition matrix must be square")
+        (transition, reward), dims = self._check_fields(transition, reward)
+        s = dims["S"]
         check_real("gamma", gamma, 0, 1, open_low=True, open_high=True)
         row_sums = transition.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
@@ -454,28 +487,14 @@ class LinQuadProblem(CompositionProblem):
     """
 
     kind = "linquad"
+    fields = {"q_mats": ("n2", "M", "N"), "c_vecs": ("n2", "M"), "b_vecs": ("n1", "M")}
 
     def __init__(self, q_mats, c_vecs, b_vecs):
-        q_mats, c_vecs, b_vecs = (
-            read_only(np.array(a, dtype=np.float64)) for a in (q_mats, c_vecs, b_vecs)
-        )
-        if q_mats.ndim != 3 or c_vecs.ndim != 2 or b_vecs.ndim != 2:
-            raise ValueError("expected stacked Q (n2,M,N), c (n2,M), b (n1,M)")
-        n2, dim_y, dim_x = q_mats.shape
-        if c_vecs.shape != (n2, dim_y):
-            raise ValueError("c_vecs shape must match (n2, M)")
-        if b_vecs.shape[1] != dim_y:
-            raise ValueError("b_vecs must have M columns")
-        for arr in (q_mats, c_vecs, b_vecs):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite problem data")
+        (q_mats, c_vecs, b_vecs), dims = self._check_fields(q_mats, c_vecs, b_vecs)
         self.q_mats = q_mats
         self.c_vecs = c_vecs
         self.b_vecs = b_vecs
-        self.n1 = b_vecs.shape[0]
-        self.n2 = n2
-        self.dim_x = dim_x
-        self.dim_y = dim_y
+        self.n1, self.n2, self.dim_y, self.dim_x = (dims[a] for a in ("n1", "n2", "M", "N"))
         self.q_bar = read_only(q_mats.mean(axis=0))
         self.c_bar = read_only(c_vecs.mean(axis=0))
         self.b_bar = read_only(b_vecs.mean(axis=0))
@@ -606,13 +625,11 @@ class LassoProblem(FiniteSumProblem):
     """Least-squares components f_i(x) = 0.5 (<a_i, x> - y_i)^2."""
 
     kind = "lasso"
+    fields = {"design": ("n", "N"), "targets": ("n",)}
 
     def __init__(self, design, targets):
-        design = as_matrix(design, "design")
-        targets = as_vector(targets, "targets")
-        if design.shape[0] != targets.shape[0]:
-            raise ValueError("design rows and targets length must agree")
-        super().__init__(*design.shape)
+        (design, targets), dims = self._check_fields(design, targets)
+        super().__init__(dims["n"], dims["N"])
         self.design = design
         self.targets = targets
 
@@ -722,16 +739,14 @@ def gen_lasso(n, dim, rng, sparsity=0.2, noise=0.01):
 
 # -- problem kinds: generation from a config spec and flat JSON ---------------
 
-# Problem kind -> (class, generator from a config spec and a stream, stored
-# fields in constructor order with the dims that name their axes; a scalar
-# field has none).
+# Problem kind -> (class, generator from a config spec and a stream); the
+# class's `fields` name the dims of a spec and of a stored document.
 _KINDS = {
     PortfolioProblem.kind: (
         PortfolioProblem,
         lambda spec, rng: PortfolioProblem(
             gen_gaussian_rewards(spec["n"], spec["N"], spec.get("kappa_cov", 2.0), rng)
         ),
-        {"rewards": ("n", "N")},
     ),
     PolicyEvalProblem.kind: (
         PolicyEvalProblem,
@@ -739,7 +754,6 @@ _KINDS = {
             *gen_mdp(spec["S"], spec.get("num_actions", 10), rng),
             spec.get("gamma", 0.95),
         ),
-        {"transition": ("S", "S"), "reward": ("S", "S"), "gamma": ()},
     ),
     LinQuadProblem.kind: (
         LinQuadProblem,
@@ -747,7 +761,6 @@ _KINDS = {
             spec["n1"], spec["n2"], spec["M"], spec["N"], rng,
             spread=spec.get("spread", 0.3),
         ),
-        {"q_mats": ("n2", "M", "N"), "c_vecs": ("n2", "M"), "b_vecs": ("n1", "M")},
     ),
     LassoProblem.kind: (
         LassoProblem,
@@ -755,7 +768,6 @@ _KINDS = {
             spec["n"], spec["N"], rng,
             sparsity=spec.get("sparsity", 0.2), noise=spec.get("noise", 0.01),
         ),
-        {"design": ("n", "N"), "targets": ("n",)},
     ),
 }
 
@@ -772,8 +784,8 @@ def generate_problem(spec):
     Each dimension that names an axis of the kind's stored fields must be an
     integer >= 1; the generators check their own parameters.
     """
-    _, gen, fields = _kind(spec.get("kind"))
-    for axis in dict.fromkeys(a for axes in fields.values() for a in axes):
+    cls, gen = _kind(spec.get("kind"))
+    for axis in dict.fromkeys(a for axes in cls.fields.values() for a in axes):
         check_int(axis, spec.get(axis))
     return gen(spec, RngStream(spec.get("seed", 0)))
 
@@ -784,7 +796,7 @@ def problem_to_dict(prob):
     if kind not in _KINDS or not isinstance(prob, _KINDS[kind][0]):
         raise TypeError(f"cannot serialize problem of type {type(prob).__name__}")
     doc = {"kind": kind, "dims": {}}
-    for name, axes in _KINDS[kind][2].items():
+    for name, axes in prob.fields.items():
         value = getattr(prob, name)
         doc["dims"].update(zip(axes, np.shape(value)))
         doc[name] = value.ravel().tolist() if axes else value
@@ -793,22 +805,25 @@ def problem_to_dict(prob):
 
 def problem_from_dict(doc):
     """The problem a `problem_to_dict` document describes; a missing or
-    malformed kind, dim or field raises an error that names it."""
+    malformed kind, dim or field raises an error that names it. Here only the
+    document's form is checked, and the constructor checks the arrays."""
     if not isinstance(doc, dict):
         raise TypeError(f"a stored problem must be a JSON object, got {type(doc).__name__}")
-    cls, _, fields = _kind(doc.get("kind"))
+    cls, _ = _kind(doc.get("kind"))
     dims = doc.get("dims")
     if not isinstance(dims, dict):
         raise TypeError(f"dims must be an object, got {dims!r}")
     args = []
-    for name, axes in fields.items():
+    for name, axes in cls.fields.items():
         if name not in doc:
             raise ValueError(f"stored {cls.kind} problem has no field {name!r}")
-        shape = [check_int(f"dims.{d}", dims.get(d)) for d in axes]
+        shape = [check_int(f"dims.{d}", dims.get(d), 0) for d in axes]
         try:
             data = np.array(doc[name], dtype=np.float64) if axes else doc[name]
         except (TypeError, ValueError) as err:
             raise ValueError(f"{name} must be a flat list of numbers: {err}") from None
+        if axes and data.ndim != 1:
+            raise ValueError(f"{name} must be a flat list of numbers, got shape {data.shape}")
         if axes and data.size != np.prod(shape):
             raise ValueError(f"{name} must hold {' * '.join(axes)} = {np.prod(shape)} "
                              f"numbers, got {data.size}")

@@ -710,9 +710,12 @@ class TestSerialization:
          "^b_vecs must be a flat list of numbers: could not convert"),
         (in_place(lambda d: d.update(b_vecs=[[1.0, [2.0]]])), ValueError,
          "^b_vecs must be a flat list of numbers: .*inhomogeneous"),
+        (in_place(lambda d: d.update(b_vecs=np.reshape(d["b_vecs"], (4, 3)).tolist())),
+         ValueError, r"^b_vecs must be a flat list of numbers, got shape \(4, 3\)"),
         (lambda d: [d], TypeError, "^a stored problem must be a JSON object, got list"),
     ], ids=["kind_missing", "field_missing", "dim_missing", "data_short", "dim_not_int",
-            "dims_missing", "data_not_numbers", "data_ragged", "not_an_object"])
+            "dims_missing", "data_not_numbers", "data_ragged", "data_nested",
+            "not_an_object"])
     def test_malformed_document_names_what_is_wrong(self, edit, error, match, tmp_path):
         doc = problem_to_dict(gen_linquad(4, 3, 3, 2, RngStream(9)))
         path = tmp_path / "problem.json"
@@ -744,3 +747,78 @@ class TestKindTable:
         assert problem_to_dict(back) == problem_to_dict(prob)
         save_problem(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def valid_fields(kind):
+    """Fields every check of `kind`'s constructor accepts, in constructor order."""
+    rng = RngStream(30)
+    return {
+        "portfolio": {"rewards": 1.0 + rng.uniform(size=(4, 3))},
+        "policy_eval": {"transition": np.full((3, 3), 1 / 3),
+                        "reward": rng.uniform(size=(3, 3)), "gamma": 0.9},
+        "linquad": {"q_mats": rng.normal(size=(2, 3, 2)), "c_vecs": rng.normal(size=(2, 3)),
+                    "b_vecs": rng.normal(size=(4, 3))},
+        "lasso": {"design": rng.normal(size=(5, 3)), "targets": rng.normal(size=5)},
+    }[kind]
+
+
+def with_nan(shape):
+    a = np.ones(shape)
+    a.flat[-1] = np.nan
+    return a
+
+
+# (kind, field, value, what the error says after the field's name); the
+# portfolio's one field shares no axis
+BAD_FIELDS = {
+    "empty_axis": [
+        ("portfolio", "rewards", np.ones((0, 3)), r"has shape \(0, 3\): axis n must be >= 1"),
+        ("policy_eval", "transition", np.ones((0, 0)), "axis S must be >= 1"),
+        ("linquad", "q_mats", np.ones((2, 3, 0)), "axis N must be >= 1"),
+        ("linquad", "b_vecs", np.ones((0, 3)), "axis n1 must be >= 1"),
+        ("lasso", "design", np.ones((0, 3)), "axis n must be >= 1"),
+    ],
+    "shared_axis_disagrees": [
+        ("policy_eval", "transition", np.full((3, 4), 0.25), "axis S must be 3$"),
+        ("policy_eval", "reward", np.ones((3, 4)), "axis S must be 3$"),
+        ("linquad", "c_vecs", np.ones((3, 3)), "axis n2 must be 2$"),
+        ("linquad", "b_vecs", np.ones((4, 2)), "axis M must be 3$"),
+        ("lasso", "targets", np.ones(4), "axis n must be 5$"),
+    ],
+    "wrong_axis_count": [
+        ("portfolio", "rewards", np.ones(3), r"its axes must be \(n, N\)"),
+        ("policy_eval", "reward", np.ones((3, 3, 1)), r"its axes must be \(S, S\)"),
+        ("linquad", "q_mats", np.ones((3, 2)), r"its axes must be \(n2, M, N\)"),
+        ("lasso", "targets", np.ones((5, 1)), r"its axes must be \(n\)"),
+    ],
+    "nan_entry": [
+        ("portfolio", "rewards", with_nan((4, 3)), "contains non-finite entries"),
+        ("policy_eval", "transition", with_nan((3, 3)), "contains non-finite entries"),
+        ("linquad", "c_vecs", with_nan((2, 3)), "contains non-finite entries"),
+        ("lasso", "targets", with_nan(5), "contains non-finite entries"),
+    ],
+}
+
+
+class TestFieldSchema:
+    """Every constructor checks its arrays against its class's `fields`."""
+
+    @pytest.mark.parametrize("kind, field, value, match", [
+        pytest.param(*case, id=f"{name}-{case[0]}-{case[1]}")
+        for name, cases in BAD_FIELDS.items() for case in cases])
+    def test_bad_field_rejected_by_name(self, kind, field, value, match):
+        cls = _KINDS[kind][0]
+        cls(*valid_fields(kind).values())
+        args = {**valid_fields(kind), field: value}
+        with pytest.raises(ValueError, match=f"^{field} .*{match}"):
+            cls(*args.values())
+
+    def test_ragged_field_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^design must be an array of numbers: "):
+            LassoProblem([[1.0, 2.0], [3.0]], [1.0, 2.0])
+
+    def test_stored_empty_axis_rejected_by_the_constructor(self):
+        doc = problem_to_dict(gen_lasso(4, 2, RngStream(31)))
+        doc.update(design=[], targets=[], dims={"n": 0, "N": 2})
+        with pytest.raises(ValueError, match="^design has shape \\(0, 2\\): axis n must be >= 1"):
+            problem_from_dict(doc)

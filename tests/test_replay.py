@@ -72,6 +72,21 @@ def test_gap_change_reported_against_the_objective():
     assert replay.diff(a, b, 1e-11)["within_bound"]
 
 
+def test_squared_norm_change_reported_against_the_call():
+    # a grad_map_sq of 1e-20 that moves by 1e-25 changes by 1e-5 of itself,
+    # and by 1e-25 of the call's largest grad_map_sq, 1.0 in rows[0]
+    a, b = fingerprints(), fingerprints()
+    for doc in (a, b):
+        doc["calls"][1]["rows"][1][7] = 1e-20
+    b["calls"][1]["rows"][1][7] = 1e-20 + 1e-25
+    report = replay.diff(a, b, 0.0)
+    assert report["per_field"]["vrsc_pg"]["grad_map_sq"] == abs(b["calls"][1]["rows"][1][7]
+                                                                - 1e-20)
+    assert report["largest"]["field"] == "rows[1].grad_map_sq"
+    assert not report["within_bound"]
+    assert replay.diff(a, b, 1e-24)["within_bound"]
+
+
 def test_a_value_that_turns_nan_is_an_infinite_change():
     # NaN compares false with everything, so a plain max or > would drop it
     def gap(call, row, value):
@@ -130,8 +145,9 @@ def test_largest_change_per_field_and_solver():
     assert report["per_field"] == {
         "scpg_baseline": dict.fromkeys(
             ["x_final", "objective", "gap", "grad_map_sq", "composite_grad_sq"], 0.0),
+        # a squared norm against the call's largest, 1.0 in rows[0]
         "vrsc_pg": {"x_final": 2.0**-52, "objective": 2.0**-52, "gap": 0.0,
-                    "grad_map_sq": 0.0, "composite_grad_sq": 2.0**-40},
+                    "grad_map_sq": 0.0, "composite_grad_sq": 0.25 * 2.0**-40},
     }
     assert report["largest"]["field"] == "rows[1].composite_grad_sq"
     assert not report["within_bound"]

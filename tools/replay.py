@@ -9,23 +9,27 @@ visits first), then six edge runs: on a small policy-evaluation
 instance a `tol` stop, a query budget that ends an epoch midway, and a
 divergence; then the shipped steps that take a generic default and no
 workload runs, `vrsc_pg` and `scpg_baseline` on a small lasso and
-`scpg_baseline` on a small linquad. Every call of the solvers' shared loop
-(`solvers._drive`), the step-size sweeps' trials and reference solves
-included, gives one fingerprint: the sha256 of x_final, the iteration
-count, the query triple, and every trace field but wall_ms, with the values,
-so that a diff can size a change. A diverged call gives its finite rows and the
-queries spent, from the error's counter. `--root` runs another
+`scpg_baseline` on a small linquad. Each of the three edge instances is
+first solved by `cli.compute_reference`, whose optimum the edge runs take
+as x_star, so that their rows have a gap. Every call of the solvers'
+shared loop (`solvers._drive`), the step-size sweeps' trials and reference
+solves included, gives one fingerprint: the sha256 of x_final, the
+iteration count, the query triple, and every trace field but wall_ms, with
+the values, so that a diff can size a change. A diverged call gives its
+finite rows and the queries spent, from the error's counter. `--root` runs another
 checkout's src/ and perfbench/ instead of this one's, so that a change
 can be set against its parent; a checkout whose `DivergedError` carries
 no counter is recorded with its own copy of this tool.
 
 `--diff` prints, as JSON, the first call and field that differ and the
-largest relative change: |a - b| / |a| for a row value, max |a - b| / max |a|
-for x_final; a value that turns NaN or stops being NaN changes by inf, as
-does any entry of an x_final that holds a NaN or an infinity. A change that
-moves no value, a zero whose sign flips or an x_final whose sha256 differs
-with every entry equal, is sized 5e-324 (the least positive double): it is a
-difference, and fails --bound 0 but no positive bound. Per solver it also
+largest relative change: |a - b| / |a| for a row value, but against the
+largest |a| of the field over the call's rows for the squared norms
+`grad_map_sq` and `composite_grad_sq`, which fall toward 0 near the
+optimum, and max |a - b| / max |a| for x_final; a value that turns NaN or
+stops being NaN changes by inf, as does any entry of an x_final that holds
+a NaN or an infinity. A change that moves no value, a zero whose sign flips
+or an x_final whose sha256 differs with every entry equal, is sized 5e-324
+(the least positive double): it is a difference, and fails --bound 0 but no positive bound. Per solver it also
 prints the largest change of each value field, `x_final` and every float
 trace field (`per_field`, whose largest entry is the solver's), and the
 largest change of any row's gap relative to that row's objective,
@@ -52,6 +56,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # by relative change.
 EXACT_FIELDS = ("epoch", "inner_iter", "q_inner_val", "q_inner_jac", "q_outer_grad")
 
+# Trace fields sized against their largest value over the call rather than
+# their own: squared norms, whose values near the optimum are rounding-sized.
+CALL_SCALED_FIELDS = ("grad_map_sq", "composite_grad_sq")
+
 # The size of a change that moves no value, such as a zero whose sign flips.
 LEAST_CHANGE = 5e-324
 
@@ -61,7 +69,7 @@ def record(root):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
     import workloads
-    from composolve import metrics, problems, regularizers, solvers
+    from composolve import cli, metrics, problems, regularizers, solvers
     from composolve.numerics import RngStream
 
     fields = [f for f in metrics.CSV_COLUMNS if f != "wall_ms"]
@@ -100,34 +108,43 @@ def record(root):
             with tempfile.TemporaryDirectory() as tmp:
                 wl.round(state, workloads.seed_order(0)[: wl.seeds_per_round], Path(tmp))
 
+        def reference(name, prob, reg):
+            stage[0] = f"edge/{name}_reference"
+            return cli.compute_reference(prob, reg, {})[0]
+
         prob = problems.PolicyEvalProblem(*problems.gen_mdp(50, 4, RngStream(7)), 0.5)
         reg = regularizers.L1Penalty(1e-3)
+        x_star = reference("policy_eval", prob, reg)
         stage[0] = "edge/tol"
         res = solvers.prox_full_gradient(prob, reg, eta=1.0, iters=10**5, tol=1e-10,
-                                         trace_stride=7)
+                                         x_star=x_star, trace_stride=7)
         if res.n_iters == 10**5:
             raise RuntimeError("the tol run must stop on its tolerance")
         stage[0] = "edge/budget"  # epochs of 50 + 2 * 50 + 40 * 30 queries
         cfg = solvers.VrscpgConfig(eta=0.5, m=40, S_epochs=10, A=5, B=5, b1=5, seed=3)
-        solvers.vrsc_pg(prob, reg, cfg, trace_stride=9, budget_queries=2000)
+        solvers.vrsc_pg(prob, reg, cfg, x_star=x_star, trace_stride=9, budget_queries=2000)
         stage[0] = "edge/diverge"
         try:
-            solvers.vrsc_pg(prob, reg, dataclasses.replace(cfg, eta=1e4), trace_stride=3)
+            solvers.vrsc_pg(prob, reg, dataclasses.replace(cfg, eta=1e4), x_star=x_star,
+                            trace_stride=3)
         except metrics.DivergedError:
             pass
         else:
             raise RuntimeError("the divergence run must diverge")
 
         lasso, reg = problems.gen_lasso(40, 8, RngStream(12)), regularizers.L1Penalty(1e-2)
+        x_star = reference("lasso", lasso, reg)
         stage[0] = "edge/lasso_vrsc_pg"
         cfg = solvers.VrscpgConfig(eta=0.3, m=20, S_epochs=5, A=2, B=2, b1=3, seed=4)
-        solvers.vrsc_pg(lasso, reg, cfg, trace_stride=3)
+        solvers.vrsc_pg(lasso, reg, cfg, x_star=x_star, trace_stride=3)
         scpg = dict(alpha0=0.1, beta0=1.0, exp_alpha=0.75, exp_beta=0.5, iters=200,
                     seed=5, trace_stride=7)
         stage[0] = "edge/lasso_scpg"
-        solvers.scpg_baseline(lasso, reg, **scpg)
+        solvers.scpg_baseline(lasso, reg, x_star=x_star, **scpg)
+        linquad = problems.gen_linquad(12, 9, 6, 5, RngStream(8))
+        x_star = reference("linquad", linquad, reg)
         stage[0] = "edge/linquad_scpg"
-        solvers.scpg_baseline(problems.gen_linquad(12, 9, 6, 5, RngStream(8)), reg, **scpg)
+        solvers.scpg_baseline(linquad, reg, x_star=x_star, **scpg)
     finally:
         solvers._drive = drive
     return {"fields": fields, "calls": calls}
@@ -194,10 +211,12 @@ def diff(doc_a, doc_b, bound):
         for ra, rb in zip(ca["rows"], cb["rows"]):
             worst = max(worst, _rel(ra[gap], rb[gap], ra[objective]))
         report["gap_per_objective"][ca["solver"]] = worst
+        scale = {f: max((abs(r[k]) for r in ca["rows"] if math.isfinite(r[k])), default=0.0)
+                 for k, f in enumerate(fields) if f in CALL_SCALED_FIELDS}
         for i, (ra, rb) in enumerate(zip(ca["rows"], cb["rows"])):
             for field, a, b in zip(fields, ra, rb):
                 if field not in EXACT_FIELDS:
-                    note(ca, f"rows[{i}].{field}", a, b, _rel(a, b))
+                    note(ca, f"rows[{i}].{field}", a, b, _rel(a, b, scale.get(field)))
                 elif a != b:
                     report["structure"] = f"{ca['call']}: rows[{i}].{field} {a} != {b}"
                     report["within_bound"] = False
