@@ -113,7 +113,7 @@ def _outcome(spec, problem, reg, seed, x_star, run):
             problem, reg, **kwargs(spec, seed), x_star=x_star, **run
         )
     except solvers.DivergedError as err:
-        return {"diverged": True, "total_queries": err.counter.total}, err.trace
+        return {"diverged": True, "total_queries": err.total_queries}, err.trace
     return ({"diverged": False, "final_gap": res.trace[-1].gap,
              "total_queries": res.counter.total}, res.trace)
 

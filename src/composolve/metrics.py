@@ -1,4 +1,9 @@
-"""Convergence diagnostics and the per-run trace recorder, which vets its rows."""
+"""Convergence diagnostics and the per-run trace recorder, which vets its rows.
+
+The diagnostics take one point x of shape (N,) or a stack of points of shape
+(..., N), with one value per row; the recorder evaluates its rows a block at
+a time, as one stack.
+"""
 
 import math
 import time
@@ -7,6 +12,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .numerics import l2_norm_sq
+from .oracle import QueryCounter
+
+# A recorded row waits for its diagnostics until at most this many record
+# calls (its own included) have passed. At trace stride 1 one stacked pass
+# then serves 16 rows, each at about a quarter of the cost of a lone row on
+# the closed-form classes, and longer blocks save little more (BENCH_26.json);
+# at stride 16 and above each row is evaluated at its own call.
+_ROW_BLOCK_STEPS = 16
+
 
 @dataclass
 class TraceRecord:
@@ -78,21 +92,38 @@ def verify_optimum(problem, reg, x_star, eta):
 
 class DivergedError(RuntimeError):
     """An iterate or its objective stopped being finite; carries the finite
-    trace, the last iterate and the run's query counter."""
+    trace, the last iterate, a query counter (the run's own for an iterate,
+    and for a row one that holds the query triple of that row) and
+    total_queries, the queries the run had spent when it stopped."""
 
-    def __init__(self, message, trace, x_last, counter):
+    def __init__(self, message, trace, x_last, counter, total_queries=None):
         super().__init__(message)
         self.trace = trace
         self.x_last = x_last
         self.counter = counter
+        self.total_queries = counter.total if total_queries is None else total_queries
 
 
 class TraceRecorder:
     """Collects one finite row per recorded iterate, or raises `DivergedError`.
 
     Diagnostics (objective, gradient mapping, composite subgradient) come
-    from one full pass on the raw problem, so instrumentation never perturbs
+    from a full pass on the raw problem, so instrumentation never perturbs
     the query counts; the counter passed in is the solver's counted handle.
+
+    A recorded row is first kept pending: its epoch, inner iteration, wall
+    time and query triple, read when it is recorded, and a reference to its
+    iterate, which must not change in place meanwhile. Its diagnostics come
+    later, with those of every pending row, in one stacked pass
+    (`objective_and_gradient` of a stack) that equals the row's own pass
+    bitwise. That pass runs at the record call of the row that fills a
+    block, whose first row has then waited at most _ROW_BLOCK_STEPS record
+    calls, its own included, at every forced record, and at `flush`. The
+    first pending row whose objective is not finite raises `DivergedError`
+    with the rows before it, its own iterate (the object recorded), a
+    counter that holds its query triple and, as total_queries, the live
+    counter's total, which counts the steps run while the row waited; the
+    rows after it are dropped.
     """
 
     def __init__(self, problem, reg, eta, counter, x_star=None, stride=1):
@@ -102,34 +133,55 @@ class TraceRecorder:
         self.counter = counter
         self.stride = stride
         self.rows = []
-        self._h_star = None if x_star is None else objective_H(problem, reg, x_star)
+        # without a reference optimum every gap is obj - NaN, a NaN
+        self._h_star = math.nan if x_star is None else objective_H(problem, reg, x_star)
         self._t0 = time.perf_counter()
         self._seen = 0
+        # rows per block: the first row of a full block was recorded
+        # (block - 1) * stride calls before the last
+        self._block = (_ROW_BLOCK_STEPS - 1) // stride + 1
+        self._pending = []  # (epoch, inner_iter, wall_ms, query triple, x)
+        self._newest = None  # ((epoch, inner_iter), x) of the last row recorded
 
     def record(self, epoch, inner_iter, x, force=False):
+        """Record x as a row if this is the first of every stride calls, or if
+        force; a forced record evaluates every pending row, and adds no row
+        when (epoch, inner_iter, x) is the newest row already, x the same
+        object. wall_ms is read here, before the row's diagnostics run."""
         self._seen += 1
         if not force and (self._seen - 1) % self.stride != 0:
             return
+        at = (int(epoch), int(inner_iter))
+        if force and self._newest is not None and self._newest[1] is x and self._newest[0] == at:
+            self.flush()
+            return
+        self._newest = (at, x)
+        wall_ms = (time.perf_counter() - self._t0) * 1e3
+        self._pending.append((*at, wall_ms, self.counter.snapshot(), x))
+        if force or len(self._pending) >= self._block:
+            self.flush()
+
+    def flush(self):
+        """Evaluate the pending rows in one stacked pass and append them, up to
+        the first whose objective is not finite, which raises `DivergedError`."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        # a lone row goes as one point: the same values as a stack of one, and
+        # on the desk portfolio's rows 5 to 8 us of about 50 cheaper (BENCH_26.json)
+        x = pending[0][-1] if len(pending) == 1 else np.array([row[-1] for row in pending])
         f, g = self.problem.objective_and_gradient(x)
         obj = f + self.reg.value(x)
-        if not math.isfinite(obj):
-            raise DivergedError("objective is not finite", self.rows, x, self.counter)
-        gap = float("nan") if self._h_star is None else obj - self._h_star
-        qv, qj, qo = self.counter.snapshot()
-        self.rows.append(
-            TraceRecord(
-                epoch=int(epoch),
-                inner_iter=int(inner_iter),
-                wall_ms=(time.perf_counter() - self._t0) * 1e3,
-                q_inner_val=qv,
-                q_inner_jac=qj,
-                q_outer_grad=qo,
-                objective=obj,
-                gap=gap,
-                grad_map_sq=l2_norm_sq(_mapping(self.reg, x, g, self.eta)),
-                composite_grad_sq=_composite_sq(self.reg, x, g),
-            )
-        )
+        columns = (obj, obj - self._h_star, l2_norm_sq(_mapping(self.reg, x, g, self.eta)),
+                   _composite_sq(self.reg, x, g))
+        table = [columns] if x.ndim == 1 else np.transpose(columns).tolist()
+        for (epoch, inner_iter, wall_ms, queries, x_row), values in zip(pending, table):
+            if not math.isfinite(values[0]):
+                counter = QueryCounter()
+                counter.add(*queries)
+                raise DivergedError("objective is not finite", self.rows, x_row, counter,
+                                    self.counter.total)
+            self.rows.append(TraceRecord(epoch, inner_iter, wall_ms, *queries, *values))
 
     def elapsed_s(self):
         return time.perf_counter() - self._t0

@@ -81,10 +81,20 @@ def sample_with_replacement(rng, n, k):
     return rng.integers(n, size=(int(k), len(n)) if block else int(k))
 
 
+def row_values(v):
+    """v as a float when it holds the value of one row, else the array of one
+    value per row of a stack."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def l2_norm_sq(v):
-    """Squared Euclidean norm, sum of squared entries."""
+    """Squared Euclidean norm, the sum of squared entries: a float for a vector,
+    and for a stack v (..., N) one per row, each bitwise np.dot(row, row), which
+    reducing v * v along the rows would not be."""
     v = np.asarray(v, dtype=np.float64)
-    return float(np.dot(v.ravel(), v.ravel()))
+    if v.ndim <= 1:
+        return float(np.dot(v.ravel(), v.ravel()))
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def central_difference_gradient(f, x, h=DEFAULT_FD_STEP):

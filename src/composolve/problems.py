@@ -24,8 +24,11 @@ default built from them, which a subclass may override with a closed form
   linquad form its correction J_s^T (u - u_s) as one difference;
 - `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
   gradient estimate of one two-timescale step, at one index each;
-- `objective_and_gradient(x)`: f(x) and grad f(x) for one trace row, whose
-  generic default is one full pass and the n1 outer values at its G(x).
+- `objective_and_gradient(x)`: f(x) and grad f(x) for trace rows, at one point
+  or at a stack of them (a block of rows); its generic default is one full
+  pass and the n1 outer values at its G(x), a row at a time. The closed forms
+  of the portfolio, linquad and lasso take a stack in one pass, each row
+  bitwise the one-point value.
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
@@ -46,7 +49,7 @@ import math
 
 import numpy as np
 
-from .numerics import RngStream, check_int, check_real, read_only
+from .numerics import RngStream, check_int, check_real, read_only, row_values
 
 # Bounds memory of the generic batched Jacobian average at large scale.
 _JACOBIAN_CHUNK = 64
@@ -137,9 +140,10 @@ class CompositionProblem:
 
     # -- full-batch quantities ------------------------------------------------
 
-    def _check_x(self, x):
+    def _check_x(self, x, stack=False):
+        """x as float64 of shape (N,), or with stack of shape (..., N)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim_x,):
+        if (x.shape[-1:] if stack else x.shape) != (self.dim_x,):
             raise ValueError(f"x must have length {self.dim_x}, got shape {x.shape}")
         return x
 
@@ -208,7 +212,18 @@ class CompositionProblem:
         return self._outer_mean(self.full_inner_value(x))
 
     def objective_and_gradient(self, x):
-        """(f(x), grad f(x)) from one full pass: the outer values at its G(x)."""
+        """(f(x), grad f(x)) from one full pass: the outer values at its G(x).
+
+        For a stack x of shape (..., N), f has shape (...) and grad f shape
+        (..., N): here one full pass per row, and in one pass in a class's
+        closed form, which must take a stack too.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim > 1:
+            rows = [CompositionProblem.objective_and_gradient(self, row)
+                    for row in x.reshape(-1, x.shape[-1])]
+            return (np.reshape([f for f, _ in rows], x.shape[:-1]),
+                    np.reshape([g for _, g in rows], x.shape))
         g_bar, _, grad = self.full_pass(x)
         return self._outer_mean(g_bar), grad
 
@@ -274,7 +289,10 @@ class PortfolioProblem(CompositionProblem):
     # Each full-batch mean is one product with the rewards or their mean r_bar.
     def full_inner_value(self, x):
         x = self._check_x(x)
-        return np.append(x, self.r_bar @ x)
+        out = np.empty(self.dim_y)
+        out[: self.dim_x] = x
+        out[self.dim_x] = self.r_bar @ x
+        return out
 
     def full_inner_jacobian(self, x):
         self._check_x(x)
@@ -319,13 +337,16 @@ class PortfolioProblem(CompositionProblem):
 
     def objective_and_gradient(self, x):
         # d = R w is formed once, for the outer values and for the mean outer
-        # gradient; the generic row's element operations, so bitwise equal
-        g_bar = self.full_inner_value(x)
-        z = g_bar[self.dim_x]
-        d = self.rewards @ g_bar[: self.dim_x]
+        # gradient; the generic row's element operations, so bitwise equal.
+        # Each matmul over a stack makes one product per row, bitwise that
+        # row's r_bar @ x, R @ x and (t - 1) @ R
+        x = self._check_x(x, stack=True)
+        z = np.matmul(x[..., None, :], self.r_bar[:, None])[..., 0]
+        d = np.matmul(self.rewards, x[..., None])[..., 0]
         t = 2.0 * (d - z)
-        grad = (t - 1.0) @ self.rewards / self.n1 + (-t.mean()) * self.r_bar
-        return float((-d + (d - z) ** 2).mean()), grad
+        grad = (np.matmul((t - 1.0)[..., None, :], self.rewards)[..., 0, :] / self.n1
+                + (-t.mean(axis=-1))[..., None] * self.r_bar)
+        return row_values((-d + (d - z) ** 2).mean(axis=-1)), grad
 
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""
@@ -537,15 +558,20 @@ class LinQuadProblem(CompositionProblem):
 
     def _outer_mean(self, g_bar):
         # the generic outer values with b_i broadcast, not gathered by index:
-        # the same element operations, so bitwise equal
-        r = g_bar - self.b_vecs
-        return float((0.5 * (r * r).sum(axis=1)).mean())
+        # the same element operations, so bitwise equal; row by row for a
+        # stack of G(x), each row reduced along its own contiguous axis
+        r = g_bar[..., None, :] - self.b_vecs
+        return row_values((0.5 * (r * r).sum(axis=-1)).mean(axis=-1))
 
     def objective_and_gradient(self, x):
         # one G(x), for the outer values and for Qbar^T (G(x) - b_bar): the
-        # generic row's operations without its second check of x
-        g_bar = self.full_inner_value(x)
-        return self._outer_mean(g_bar), self.q_bar.T @ (g_bar - self.b_bar)
+        # generic row's operations without its second check of x. Each matmul
+        # over a stack makes one product per row, bitwise that row's Qbar @ x
+        # and Qbar^T v
+        x = self._check_x(x, stack=True)
+        g_bar = np.matmul(self.q_bar, x[..., None])[..., 0] + self.c_bar
+        grad = np.matmul((g_bar - self.b_bar)[..., None, :], self.q_bar)[..., 0, :]
+        return self._outer_mean(g_bar), grad
 
     def hessian(self):
         return self.q_bar.T @ self.q_bar
@@ -652,9 +678,13 @@ class LassoProblem(FiniteSumProblem):
         return self.design.T @ self._residual(y) / self.n
 
     def objective_and_gradient(self, x):
-        # G(x) = x, so no full pass: Ax - y once, for f(x) and A^T (Ax - y) / n
-        r = self._residual(x)
-        return float((0.5 * r * r).mean()), self.design.T @ r / self.n
+        # G(x) = x, so no full pass: Ax - y once, for f(x) and A^T (Ax - y) / n.
+        # Each matmul over a stack makes one product per row, bitwise that
+        # row's A @ x and A^T r
+        x = self._check_x(x, stack=True)
+        r = np.matmul(self.design, x[..., None])[..., 0] - self.targets
+        return (row_values((0.5 * r * r).mean(axis=-1)),
+                np.matmul(r[..., None, :], self.design)[..., 0, :] / self.n)
 
     def least_squares_solution(self):
         sol, *_ = np.linalg.lstsq(self.design, self.targets, rcond=None)

@@ -1,8 +1,13 @@
-"""Nonsmooth convex penalties: value, proximal map, min-norm subgradient."""
+"""Nonsmooth convex penalties: value, proximal map, min-norm subgradient.
+
+Each operation takes one point x of shape (N,) or a stack of points of shape
+(..., N), row by row: a value per row, and the prox and the subgradient
+entrywise. The trace recorder evaluates a block of rows this way.
+"""
 
 import numpy as np
 
-from .numerics import check_real
+from .numerics import check_real, row_values
 
 
 class ZeroPenalty:
@@ -11,7 +16,7 @@ class ZeroPenalty:
     kind = "zero"
 
     def value(self, x):
-        return 0.0
+        return 0.0  # broadcasts over a stack of rows
 
     def prox(self, x, eta):
         if eta <= 0:
@@ -35,8 +40,8 @@ class L1Penalty:
         self.lam = float(check_real("lam", lam, 0))
 
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.lam * float(np.abs(x).sum())
+        """lam * ||x||_1 per row: a float for one point, shape (...) for a stack."""
+        return row_values(self.lam * np.abs(np.asarray(x, dtype=np.float64)).sum(axis=-1))
 
     def prox(self, x, eta):
         """Soft-thresholding at level eta * lam.
@@ -47,7 +52,11 @@ class L1Penalty:
         if eta <= 0:
             raise ValueError("prox step eta must be positive")
         x = np.asarray(x, dtype=np.float64)
-        return np.sign(x) * np.maximum(np.abs(x) - eta * self.lam, 0.0)
+        out = np.abs(x)
+        out -= eta * self.lam
+        np.maximum(out, 0.0, out=out)
+        out *= np.sign(x)
+        return out
 
     def min_norm_subgradient(self, x, grad_f):
         """Subgradient g of h at x minimizing ||grad_f + g||.
@@ -60,10 +69,9 @@ class L1Penalty:
         grad_f = np.asarray(grad_f, dtype=np.float64)
         if grad_f.shape != x.shape:
             raise ValueError("grad_f and x must have the same length")
-        g = self.lam * np.sign(x)
-        at_zero = x == 0.0
-        g[at_zero] = np.clip(-grad_f[at_zero], -self.lam, self.lam)
-        return g
+        # every entry clamped, then the nonzero ones replaced: cheaper than
+        # masking, for one point or a stack of rows
+        return np.where(x == 0.0, (-grad_f).clip(-self.lam, self.lam), self.lam * np.sign(x))
 
 
 def make_regularizer(kind, lam=0.0):

@@ -19,12 +19,18 @@ whose run options (`x0`, `x_star`, `trace_stride`, `budget_queries`,
 `check_run_options`. Each solver checks its own parameters before it
 spends a query. The query and wall-clock budgets are checked before every
 full pass and every step, and a full pass is paid only if a step can
-follow it. Each run owns its query counter. A non-finite iterate, or a row
-(the start row too) whose objective the recorder finds non-finite, ends
-the run with `DivergedError`, which carries the finite rows, the last
-iterate and the run's counter; numpy's overflow warnings are silenced
-inside the loop, since that error reports the divergence. The stochastic
-solvers draw their index sets a block of steps at a time (`_index_sets`),
+follow it. Each run owns its query counter. The recorder evaluates trace
+rows a block at a time (`metrics.TraceRecorder`): a row's wall time and
+queries are read when its iterate is recorded, its diagnostics up to
+_ROW_BLOCK_STEPS record calls later, and every pending row before the loop
+raises and when the run ends. A non-finite iterate, or a row (the start
+row too) whose objective the recorder finds non-finite, ends the run with
+`DivergedError`, which carries the finite rows before it and that iterate.
+Its counter is the run's own for a non-finite iterate, and holds the
+row's own query triple for a row, although steps after the row may have
+run before its block was evaluated; its `total_queries` counts those
+steps too. numpy's overflow warnings are silenced inside the loop, since
+that error reports the divergence. The stochastic solvers draw their index sets a block of steps at a time (`_index_sets`),
 which replays bitwise the draws of one stream call per index set.
 """
 
@@ -183,10 +189,13 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
            budget_queries=None, budget_wall_s=None):
     """Shared solver loop around steps(cp, x, room).
 
-    steps yields (epoch, inner_iter, x) after each update, and returns when
-    room(cost) before a full pass of cost queries, or room() before a step,
-    is false. The start point, every trace_stride-th iterate and the last one
-    are recorded, so that the final row describes x_final.
+    steps yields (epoch, inner_iter, x) after each update, a fresh array
+    that it does not change afterwards, and returns when room(cost) before a
+    full pass of cost queries, or room() before a step, is false. The start
+    point, every trace_stride-th iterate and the last one are recorded, so
+    that the final row describes x_final; the run ends with a forced record
+    of the last iterate, which evaluates the pending rows and adds a row only
+    if the stride skipped that iterate.
 
     Run options, which every solver takes as keywords:
         x0              start point, copied (default: zeros)
@@ -211,7 +220,7 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
             return False
         return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
 
-    iters = 0
+    iters = epoch = inner_iter = 0
     # x @ zeros is NaN when an entry of x is inf or NaN (inf * 0 is NaN) and
     # 0 otherwise: one call, where np.isfinite(x).all() takes two
     zeros = np.zeros(problem.dim_x)
@@ -219,12 +228,14 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
         rec.record(0, 0, x, force=True)
         for epoch, inner_iter, x in steps(cp, x, room):
             if x @ zeros != 0.0:
+                rec.flush()  # a pending row that diverged first raises its own error
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x,
                                     counter)
             iters += 1
             rec.record(epoch, inner_iter, x)
-        if iters % rec.stride:  # the last step fell between strides
-            rec.record(epoch, inner_iter, x, force=True)
+        # the last iterate: a new row if it fell between strides, and in any
+        # case the evaluation of every pending row
+        rec.record(epoch, inner_iter, x, force=True)
     return SolveResult(x_final=x, trace=rec.rows, counter=counter, n_iters=iters)
 
 

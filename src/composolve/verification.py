@@ -370,6 +370,45 @@ def check_determinism():
     return "same seed replays bitwise", same, f"{rows} trace rows, every solver and class"
 
 
+def check_trace_blocks():
+    """Trace rows evaluated as one block equal the same rows recorded one at a
+    time, in every field but wall_ms, bitwise, for every class, with the L1
+    penalty at iterates that hold exact zeros and with the zero penalty; and a
+    block whose middle row's objective is not finite raises the error that row
+    raises alone: the rows before it, that very iterate and its query triple."""
+    rng = RngStream(22)
+    same, rows = True, 0
+
+    def recorded(prob, reg, points, one_at_a_time):
+        counter = oracle.QueryCounter()
+        rec = metrics.TraceRecorder(prob, reg, 0.3, counter, x_star=points[0], stride=1)
+        try:
+            for t, x in enumerate(points):
+                counter.add(1, 2, 3)  # each row gets its own query triple
+                rec.record(0, t, x, force=one_at_a_time or t == len(points) - 1)
+        except metrics.DivergedError as err:
+            return [vars(r) for r in err.trace], err.x_last, err.counter.snapshot(), str(err)
+        return [vars(r) for r in rec.rows], None, None, None
+
+    for prob in _compositions():
+        points = [rng.normal(size=prob.dim_x) for _ in range(5)]
+        for x in points[1:]:
+            x[::2] = 0.0  # the L1 subgradient clamps here
+        x_bad = np.full(prob.dim_x, 1e200)  # a finite iterate whose objective overflows
+        for reg in (regularizers.L1Penalty(0.05), regularizers.ZeroPenalty()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for run in (points, [*points[:2], x_bad, *points[3:]]):
+                    block, single = (recorded(prob, reg, run, one) for one in (False, True))
+                    same &= same_rows_modulo_wall(block[0], single[0])
+                    same &= block[1] is single[1] and block[2:] == single[2:]
+                    rows += len(block[0])
+            # the second run ends at x_bad, its third row, with two rows before it
+            same &= block[1] is x_bad and len(block[0]) == 2 and block[2] == (3, 6, 9)
+    return "trace blocks equal rows one at a time", bool(same), (
+        f"{rows} rows bitwise and a mid-block divergence, every class, L1 and zero penalty"
+    )
+
+
 def check_stationarity_metrics():
     """The composite-gradient norm and the gradient mapping vanish at a
     regularized optimum, and the former does not away from it."""
@@ -418,6 +457,7 @@ ALL_CHECKS = (
     check_snapshot_cancellation,
     check_full_batch_degeneration,
     check_determinism,
+    check_trace_blocks,
     check_stationarity_metrics,
     check_budget_respected,
 )

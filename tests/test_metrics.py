@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from composolve import metrics
 from composolve.metrics import (
+    _ROW_BLOCK_STEPS,
     CSV_COLUMNS,
     DivergedError,
     TraceRecord,
@@ -183,6 +186,7 @@ class TestTraceRecorder:
         x = np.zeros(prob.dim_x)
         for t in range(7):
             rec.record(0, t, x)
+        rec.flush()
         assert [r.inner_iter for r in rec.rows] == [0, 3, 6]
 
     def test_force_overrides_stride(self):
@@ -202,7 +206,7 @@ class TestTraceRecorder:
         x = np.full(prob.dim_x, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedError) as err:
-                rec.record(0, 1, x)
+                rec.record(0, 1, x, force=True)  # evaluates the pending block
         assert len(rec.rows) == 1 and err.value.trace == rec.rows
         assert err.value.x_last is x
 
@@ -211,6 +215,7 @@ class TestTraceRecorder:
         _, counter = counted(prob)
         rec = TraceRecorder(prob, ZeroPenalty(), 0.1, counter)
         rec.record(0, 0, np.zeros(prob.dim_x))
+        rec.flush()
         assert math.isnan(rec.rows[0].gap)
 
     def test_diagnostics_do_not_touch_counter(self):
@@ -220,24 +225,33 @@ class TestTraceRecorder:
                             x_star=prob.unregularized_optimum())
         before = counter.total
         rec.record(0, 0, np.ones(prob.dim_x))
-        assert counter.total == before
+        rec.flush()
+        assert len(rec.rows) == 1 and counter.total == before
 
     @pytest.mark.parametrize("make", [
         lambda: PortfolioProblem(gen_gaussian_rewards(30, 5, 2.0, RngStream(9))),
         lambda: PolicyEvalProblem(*gen_mdp(11, 3, RngStream(10)), 0.9),
         lambda: gen_linquad(13, 21, 6, 4, RngStream(11)),
     ], ids=["portfolio", "policy_eval", "linquad"])
-    def test_row_costs_one_inner_pass(self, make, monkeypatch):
+    def test_block_makes_one_objective_and_gradient_call(self, make, monkeypatch):
+        # and one inner pass per row for the generic default (policy
+        # evaluation), none for the portfolio's and linquad's closed forms
         prob = make()
         _, counter = counted(prob)
         rec = TraceRecorder(prob, L1Penalty(1e-3), 0.1, counter,
                             x_star=np.zeros(prob.dim_x))
-        seen = []
+        seen, inner = [], []
+        objective_and_gradient = prob.objective_and_gradient
+        monkeypatch.setattr(prob, "objective_and_gradient",
+                            lambda x: seen.append(np.shape(x)) or objective_and_gradient(x))
         full_inner_value = prob.full_inner_value
         monkeypatch.setattr(prob, "full_inner_value",
-                            lambda x: seen.append(x) or full_inner_value(x))
-        rec.record(0, 0, RngStream(12).normal(size=prob.dim_x))
-        assert len(seen) == 1
+                            lambda x: inner.append(x) or full_inner_value(x))
+        rng = RngStream(12)
+        for t in range(5):
+            rec.record(0, t, rng.normal(size=prob.dim_x), force=t == 4)
+        assert seen == [(5, prob.dim_x)] and len(rec.rows) == 5
+        assert len(inner) == (5 if isinstance(prob, PolicyEvalProblem) else 0)
 
     def test_wall_and_queries_nondecreasing(self):
         prob = linquad()
@@ -247,10 +261,67 @@ class TestTraceRecorder:
         for t in range(5):
             cp.full_gradient(x)
             rec.record(0, t, x)
+        rec.flush()
         walls = [r.wall_ms for r in rec.rows]
         queries = [r.queries for r in rec.rows]
         assert walls == sorted(walls)
         assert queries == sorted(queries) and queries[-1] > queries[0]
+
+    def test_wall_ms_is_read_when_the_row_is_recorded(self, monkeypatch):
+        # diagnostics that take 100 s on a fake clock move no row's wall_ms
+        prob = linquad()
+        clock = [0.0]
+        monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        objective_and_gradient = prob.objective_and_gradient
+
+        def slow(x):
+            clock[0] += 100.0
+            return objective_and_gradient(x)
+
+        monkeypatch.setattr(prob, "objective_and_gradient", slow)
+        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, QueryCounter())
+        for t in range(1, 4):
+            clock[0] = float(t)
+            rec.record(0, t, np.full(prob.dim_x, float(t)), force=t == 3)
+        assert [r.wall_ms for r in rec.rows] == [1000.0, 2000.0, 3000.0]
+        assert clock[0] == 103.0  # one stacked pass for the three rows
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 15, 16, 40])
+    def test_a_row_waits_at_most_the_block_bound(self, stride, monkeypatch):
+        # a block holds as many rows as the bound lets its first row wait for:
+        # at stride 1 _ROW_BLOCK_STEPS rows, and from that stride on one row,
+        # evaluated at its own record call
+        prob = linquad()
+        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, QueryCounter(), stride=stride)
+        call, blocks = [0], []  # (call of the evaluation, rows in its block)
+        objective_and_gradient = prob.objective_and_gradient
+        monkeypatch.setattr(prob, "objective_and_gradient", lambda x: blocks.append(
+            (call[0], len(np.atleast_2d(x)))) or objective_and_gradient(x))
+        for t in range(200):
+            call[0] = t
+            rec.record(0, t, RngStream(t).normal(size=prob.dim_x))
+        recorded, waits = list(range(0, 200, stride)), []
+        for at, k in blocks:
+            waits += [at - c for c in recorded[len(waits):len(waits) + k]]
+        assert all((k - 1) * stride < _ROW_BLOCK_STEPS <= k * stride for _, k in blocks)
+        assert max(waits) <= _ROW_BLOCK_STEPS - 1 and min(waits) == 0
+        assert len(rec.rows) == len(waits) and len(recorded) - len(waits) < blocks[0][1]
+        if stride == 1:
+            assert blocks[0][1] == _ROW_BLOCK_STEPS
+        if stride >= _ROW_BLOCK_STEPS:
+            assert max(waits) == 0
+
+    def test_forced_newest_row_is_not_recorded_twice(self):
+        prob = linquad()
+        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, QueryCounter())
+        x = np.ones(prob.dim_x)
+        rec.record(0, 0, np.zeros(prob.dim_x))
+        rec.record(0, 1, x)
+        rec.record(0, 1, x, force=True)  # the newest row itself: evaluates only
+        assert [r.inner_iter for r in rec.rows] == [0, 1]
+        rec.record(0, 1, x, force=True)  # and again, once evaluated
+        rec.record(0, 1, x.copy(), force=True)  # an equal copy is another iterate
+        assert [r.inner_iter for r in rec.rows] == [0, 1, 1]
 
 
 class TestQueriesToThreshold:

@@ -765,6 +765,32 @@ def stub_steps(iterates):
     return steps
 
 
+class TestFinalRow:
+    """The run's last forced record evaluates the pending rows and adds a row
+    only for an iterate that the stride skipped."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 4, 20])
+    def test_one_row_per_recorded_iterate(self, stride):
+        prob = linquad()
+        iterates = [RngStream(50 + t).normal(size=prob.dim_x) for t in range(12)]
+        res = solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps(iterates),
+                             trace_stride=stride)
+        steps = [0, *range(stride, 13, stride)]
+        if steps[-1] != 12:
+            steps.append(12)
+        assert [r.inner_iter for r in res.trace] == steps
+        assert res.x_final is iterates[-1]
+        assert res.trace[-1].objective == objective_H(prob, ZeroPenalty(), res.x_final)
+
+    def test_zero_step_run_has_the_start_row_only(self):
+        prob = linquad()
+        x0 = RngStream(51).normal(size=prob.dim_x)
+        res = solvers._drive(prob, L1Penalty(0.05), 0.1, stub_steps([]), x0=x0)
+        assert res.n_iters == 0 and np.array_equal(res.x_final, x0)
+        assert [(r.epoch, r.inner_iter, r.queries) for r in res.trace] == [(0, 0, 0)]
+        assert res.trace[0].objective == objective_H(prob, L1Penalty(0.05), x0)
+
+
 class TestFiniteCheck:
     """The loop's one-call check on each iterate, between recorded rows."""
 
@@ -780,9 +806,23 @@ class TestFiniteCheck:
         with pytest.raises(DivergedError, match="non-finite iterate") as err:
             solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps([*finite, x_bad]),
                            trace_stride=2)
-        assert err.value.counter.snapshot() == (4, 0, 0)
+        assert err.value.counter.snapshot() == (4, 0, 0) and err.value.total_queries == 4
         assert [(r.inner_iter, r.q_inner_val) for r in err.value.trace] == [(0, 0), (2, 2)]
         assert err.value.x_last is x_bad
+
+    def test_pending_diverged_row_raises_before_a_non_finite_iterate(self):
+        # stride 1 keeps the overflowing row pending; the non-finite iterate
+        # two steps later evaluates it first, so the run ends with its error
+        prob = linquad()
+        finite = RngStream(41).normal(size=prob.dim_x)
+        x_huge, x_nan = np.full(prob.dim_x, 1e200), np.full(prob.dim_x, np.nan)
+        with pytest.raises(DivergedError, match="objective is not finite") as err:
+            solvers._drive(prob, ZeroPenalty(), 0.1,
+                           stub_steps([finite, x_huge, finite.copy(), x_nan]))
+        assert err.value.x_last is x_huge
+        # the row's own triple, and the four steps the run spent in total
+        assert err.value.counter.snapshot() == (2, 0, 0) and err.value.total_queries == 4
+        assert [(r.inner_iter, r.q_inner_val) for r in err.value.trace] == [(0, 0), (1, 1)]
 
     def test_huge_finite_entries_pass(self):
         # 1e300 * 0 is 0: the iterate passes the loop's check; a trace row at it
@@ -956,11 +996,27 @@ class TestOnePass:
         x = self.point(prob)
         _, counter = counted(prob)
         rec = TraceRecorder(prob, reg, eta, counter)
-        rec.record(0, 0, x)
+        rec.record(0, 0, x, force=True)  # a lone row, evaluated at its call
         row = rec.rows[0]
         assert row.objective == objective_H(prob, reg, x)
         assert row.grad_map_sq == l2_norm_sq(gradient_mapping(prob, reg, x, eta))
         assert row.composite_grad_sq == composite_grad_sq(prob, reg, x)
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PASS_PROBLEMS))
+    def test_block_rows_equal_public_measures(self, kind):
+        # every row of one stacked pass, each against the one-point measures
+        prob = ONE_PASS_PROBLEMS[kind]()
+        reg, eta = L1Penalty(0.05), 0.3
+        points = [self.point(prob) + t for t in (0.0, 0.5, -2.0)]
+        _, counter = counted(prob)
+        rec = TraceRecorder(prob, reg, eta, counter)
+        for t, x in enumerate(points):
+            rec.record(0, t, x, force=t == len(points) - 1)
+        assert len(rec.rows) == len(points)
+        for row, x in zip(rec.rows, points):
+            assert row.objective == objective_H(prob, reg, x)
+            assert row.grad_map_sq == l2_norm_sq(gradient_mapping(prob, reg, x, eta))
+            assert row.composite_grad_sq == composite_grad_sq(prob, reg, x)
 
     @pytest.mark.parametrize("kind", sorted(ONE_PASS_PROBLEMS))
     def test_snapshot_gradient_is_full_gradient(self, kind):
