@@ -294,6 +294,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _svg_convergence(series, x_label, y_label, width=720, height=480):
     """Standalone SVG with a linear x axis and log-10 y axis."""
+    import html  # here, so that a run, which never plots, loads no entity tables
+
     left, right, top, bottom = 70, 160, 20, 50
     pw, ph = width - left - right, height - top - bottom
     clipped = 0
@@ -364,8 +366,9 @@ def _svg_convergence(series, x_label, y_label, width=720, height=480):
             f'<line x1="{left + pw + 10}" y1="{ly}" x2="{left + pw + 34}" '
             f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>'
         )
-        out.append(
-            f'<text x="{left + pw + 40}" y="{ly + 4}" font-size="12">{name}</text>'
+        out.append(  # a name is a config label, which may hold &, < and >
+            f'<text x="{left + pw + 40}" y="{ly + 4}" font-size="12">'
+            f'{html.escape(name, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ default built from them, which a subclass may override with a closed form
 (the shipped classes do):
 
 - `inner_vjp_batch(js, x, u)`: the stacked J_j(x)^T u that the solvers use
-  in place of dense Jacobians;
+  in place of dense Jacobians; only the lasso's identity map overrides it;
 - `full_inner_value(x)`, `full_inner_jacobian(x)` and
   `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
@@ -266,9 +266,6 @@ class PortfolioProblem(CompositionProblem):
         out[:, self.dim_x, :] = self.rewards.take(js, axis=0)
         return out
 
-    def inner_vjp_batch(self, js, x, u):
-        return u[: self.dim_x] + u[self.dim_x] * self.rewards.take(js, axis=0)
-
     def outer_value_batch(self, is_, y):
         w = y[: self.dim_x]
         z = y[self.dim_x]
@@ -323,10 +320,8 @@ class PortfolioProblem(CompositionProblem):
 
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
-        # with t = 2 (r_i.w - z) at y_new = (w, z): the generic step's element
-        # operations on the rows r_j and r_i read in place, and its products,
-        # since numpy reduces a (1, N) @ (N,) product with the kernel of a
-        # dot of two vectors; so bitwise equal, with no (1, N+1) stack
+        # with t = 2 (r_i.w - z) at y_new = (w, z), from the rows r_j and r_i
+        # read in place, with no (1, N+1) stack
         n = self.dim_x
         r_j, r_i = self.rewards[js[0]], self.rewards[is_[0]]
         y = (1.0 - beta) * y
@@ -409,14 +404,6 @@ class PolicyEvalProblem(CompositionProblem):
         out[np.arange(len(js)), s:, js] = self.gamma * s * self._pt.take(js, axis=0)
         return out
 
-    def inner_vjp_batch(self, js, x, u):
-        # J_j^T u = u[:S] plus, at entry j, gamma S P[:, j] . u[S:]
-        s = self.n_states
-        out = np.empty((len(js), s))
-        out[:] = u[:s]
-        out[np.arange(len(js)), js] += self.gamma * s * (self._pt.take(js, axis=0) @ u[s:])
-        return out
-
     def outer_value_batch(self, is_, y):
         s = self.n_states
         r = y[is_] - y[s + is_]
@@ -451,10 +438,8 @@ class PolicyEvalProblem(CompositionProblem):
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
         # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
-        # plus gamma S P[i, j] (-g) at j (after g where j = i). The generic
-        # step's element operations in its order, on the rows of P^T and R^T
-        # read in place; its P^T[j] @ u[S:] is that one product plus exact
-        # zeros, so bitwise equal, with no (1, 2S) stack
+        # plus gamma S P[i, j] (-g) at j (added to g where j = i), from the
+        # rows of P^T and R^T read in place, with no (1, 2S) stack
         s = self.n_states
         j, i = js[0], is_[0]
         p_j = self._pt[j]

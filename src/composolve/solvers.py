@@ -30,8 +30,11 @@ Its counter is the run's own for a non-finite iterate, and holds the
 row's own query triple for a row, although steps after the row may have
 run before its block was evaluated; its `total_queries` counts those
 steps too. numpy's overflow warnings are silenced inside the loop, since
-that error reports the divergence. The stochastic solvers draw their index sets a block of steps at a time (`_index_sets`),
-which replays bitwise the draws of one stream call per index set.
+that error reports the divergence.
+
+The stochastic solvers draw their index sets a block of steps at a time
+(`_index_sets`), which replays bitwise the draws of one stream call per
+index set.
 """
 
 import math

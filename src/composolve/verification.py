@@ -300,6 +300,8 @@ def check_closed_forms_match_generic():
                            ("tracking_step", (js[3:], is_[1:2], x, y, 0.3)),
                            ("tracking_step", (js[:1], is_[2:3], x, y, 0.3)),
                            ("objective_and_gradient", (x,))):
+            if getattr(type(prob), name) is getattr(base, name):
+                continue  # no override: the default would meet itself
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
         jac, dense = prob.full_inner_jacobian(x), base.full_inner_jacobian(prob, x)

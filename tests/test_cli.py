@@ -1,5 +1,6 @@
 import json
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -521,6 +522,16 @@ class TestCmdPlot:
         path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
         with pytest.warns(UserWarning, match="clipped"):
             cli.cmd_plot([str(path)], tmp_path / "c.svg")
+
+    def test_series_name_escaped(self, tmp_path):
+        # the legend shows the CSV stem, a config label, which may hold &, < and >
+        path = tmp_path / "vr<a&b>_seed0.csv"
+        rows = ["0,0,1.0,10,0,0,1.0,1e-2,1e-3,1e-3", "0,1,2.0,20,0,0,0.5,1e-4,1e-4,1e-4"]
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "names.svg"
+        cli.cmd_plot([str(path)], out)
+        texts = [t.text for t in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "vr<a&b>_seed0" in texts
 
     def test_no_inputs_rejected(self, tmp_path):
         with pytest.raises(ValueError):

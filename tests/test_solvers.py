@@ -1,7 +1,5 @@
-import copy
 import warnings
 from dataclasses import replace
-from types import MethodType
 
 import numpy as np
 import pytest
@@ -496,38 +494,6 @@ class TestScpgBaseline:
             exp_alpha=0.75, exp_beta=0.5, iters=25, seed=1,
         )
         assert res.counter.snapshot() == (25, 25, 25)
-
-    # every composition class; the portfolio also at the desk's size, policy
-    # evaluation also at the benchmark's S = 400 and at S = 3, where j = i on
-    # about a third of the steps and its v puts both terms on one entry
-    STEP_PROBLEMS = {
-        "portfolio": lambda: PortfolioProblem(gen_gaussian_rewards(15, 6, 2.0, RngStream(26))),
-        "portfolio_desk": lambda: PortfolioProblem(
-            gen_gaussian_rewards(200, 50, 2.0, RngStream(27))),
-        "policy_eval": policy_eval,
-        "policy_eval_s400": lambda: policy_eval(seed=28, n_states=400),
-        "policy_eval_s3": lambda: policy_eval(seed=29, n_states=3),
-        "linquad": lambda: linquad(n1=7, n2=9),
-    }
-
-    @pytest.mark.parametrize("stride", [1, 7])
-    @pytest.mark.parametrize("kind", sorted(STEP_PROBLEMS))
-    def test_step_hook_equals_generic_step_bitwise(self, kind, stride):
-        # the class's tracking_step against the base class's on the same
-        # instance, so that the hook is all that differs between the runs; a
-        # verification._generic_view would also swap in the dense-Jacobian
-        # inner_vjp_batch and the generic full-batch means, which round otherwise
-        prob = self.STEP_PROBLEMS[kind]()
-        generic = copy.copy(prob)
-        generic.tracking_step = MethodType(CompositionProblem.tracking_step, generic)
-        for seed in range(4):
-            a, b = (scpg_baseline(p, L1Penalty(1e-3), alpha0=0.05, beta0=1.0,
-                                  exp_alpha=0.75, exp_beta=0.5, iters=120, seed=seed,
-                                  trace_stride=stride) for p in (prob, generic))
-            assert a.x_final.tobytes() == b.x_final.tobytes()
-            assert verification.same_rows_modulo_wall([vars(r) for r in a.trace],
-                                                      [vars(r) for r in b.trace])
-            assert a.counter.snapshot() == b.counter.snapshot() == (120, 120, 120)
 
     def test_objective_decreases(self):
         prob = PortfolioProblem(gen_gaussian_rewards(40, 8, 2.0, RngStream(23)))

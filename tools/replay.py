@@ -29,13 +29,14 @@ optimum, and max |a - b| / max |a| for x_final; a value that turns NaN or
 stops being NaN changes by inf, as does any entry of an x_final that holds
 a NaN or an infinity. A change that moves no value, a zero whose sign flips
 or an x_final whose sha256 differs with every entry equal, is sized 5e-324
-(the least positive double): it is a difference, and fails --bound 0 but no positive bound. Per solver it also
-prints the largest change of each value field, `x_final` and every float
-trace field (`per_field`, whose largest entry is the solver's), and the
-largest change of any row's gap relative to that row's objective,
-|gap_a - gap_b| / |objective_a| (`gap_per_objective`): near the optimum the
-gap is a difference of two close objectives, so its own relative change can
-be large while the objectives move by rounding. It exits 1 when the calls,
+(the least positive double): it is a difference, and fails --bound 0 but
+no positive bound. Per solver it also prints the largest change of each
+value field, `x_final` and every float trace field (`per_field`, whose
+largest entry is the solver's), and the largest change of any row's gap
+relative to that row's objective, |gap_a - gap_b| / |objective_a|
+(`gap_per_objective`): near the optimum the gap is a difference of two
+close objectives, so its own relative change can be large while the
+objectives move by rounding. It exits 1 when the calls,
 iteration counts, query triples, divergence or row counts differ, or
 when a value moves by more than --bound (default 0, bitwise);
 `gap_per_objective` does not enter that decision.
