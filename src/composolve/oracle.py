@@ -98,14 +98,22 @@ class CountedCompositionProblem(CompositionProblem):
         self.counter.add(outer_gradient=self.n1)
         return self._problem.mean_outer_gradient(y)
 
+    # The two step hooks, called once per solver step, charge by attribute
+    # increments, the charges of `QueryCounter.add` without its call.
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
         v = self._problem.variance_reduced_step(snap, a_idx, b_idx, i_idx, x)
-        self.counter.add(2 * len(a_idx), 2 * len(b_idx), 2 * len(i_idx))
+        counter = self.counter
+        counter.inner_value_queries += 2 * len(a_idx)
+        counter.inner_jacobian_queries += 2 * len(b_idx)
+        counter.outer_gradient_queries += 2 * len(i_idx)
         return v
 
     def tracking_step(self, js, is_, x, y, beta):
         y, v = self._problem.tracking_step(js, is_, x, y, beta)
-        self.counter.add(len(js), len(js), len(is_))
+        counter, k = self.counter, len(js)
+        counter.inner_value_queries += k
+        counter.inner_jacobian_queries += k
+        counter.outer_gradient_queries += len(is_)
         return y, v
 
 

@@ -27,8 +27,8 @@ default built from them, which a subclass may override with a closed form
 - `objective_and_gradient(x)`: f(x) and grad f(x) for trace rows, at one point
   or at a stack of them (a block of rows); its generic default is one full
   pass and the n1 outer values at its G(x), a row at a time. The closed forms
-  of the portfolio, linquad and lasso take a stack in one pass, each row
-  bitwise the one-point value.
+  of the shipped classes take a stack in one pass, each row bitwise the
+  one-point value and the generic row.
 
 The mean inner Jacobian is the data the class's `mean_inner_vjp` reads: the
 dense matrix by default, and r_bar for (I; r_bar), P for (I; gamma P) and
@@ -321,13 +321,17 @@ class PortfolioProblem(CompositionProblem):
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
         # with t = 2 (r_i.w - z) at y_new = (w, z), from the rows r_j and r_i
-        # read in place, with no (1, N+1) stack
+        # read in place, with no (1, N+1) stack. w is updated through one
+        # view, and z, r_j.x and r_i.w are carried as Python floats: the same
+        # operations in the same order as on numpy scalars, for less per call
         n = self.dim_x
         r_j, r_i = self.rewards[js[0]], self.rewards[is_[0]]
         y = (1.0 - beta) * y
-        y[:n] += beta * x
-        y[n] += beta * r_j.dot(x)
-        t = 2.0 * (r_i.dot(y[:n]) - y[n])
+        w = y[:n]
+        w += beta * x
+        z = float(y[n]) + beta * float(r_j.dot(x))
+        y[n] = z
+        t = 2.0 * (float(r_i.dot(w)) - z)
         return y, (t - 1.0) * r_i + (-t) * r_j
 
     def objective_and_gradient(self, x):
@@ -339,9 +343,10 @@ class PortfolioProblem(CompositionProblem):
         z = np.matmul(x[..., None, :], self.r_bar[:, None])[..., 0]
         d = np.matmul(self.rewards, x[..., None])[..., 0]
         t = 2.0 * (d - z)
+        # each mean over the n rewards is the sum that mean takes, divided by n
         grad = (np.matmul((t - 1.0)[..., None, :], self.rewards)[..., 0, :] / self.n1
-                + (-t.mean(axis=-1))[..., None] * self.r_bar)
-        return row_values((-d + (d - z) ** 2).mean(axis=-1)), grad
+                + (-(t.sum(axis=-1) / self.n1))[..., None] * self.r_bar)
+        return row_values((-d + (d - z) ** 2).sum(axis=-1) / self.n1), grad
 
     def direct_objective(self, x):
         """Mean-variance objective evaluated without the composition."""
@@ -381,6 +386,8 @@ class PolicyEvalProblem(CompositionProblem):
         # batch gathers contiguous rows
         self._pt = read_only(np.ascontiguousarray(transition.T))
         self._rt = read_only(np.ascontiguousarray(reward.T))
+        # S P^T, whose row j is bitwise s * P[:, j]: the tracking step's factor
+        self._spt = read_only(s * self._pt)
 
     @property
     def reward(self):
@@ -439,17 +446,17 @@ class PolicyEvalProblem(CompositionProblem):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
         # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
         # plus gamma S P[i, j] (-g) at j (added to g where j = i), from the
-        # rows of P^T and R^T read in place, with no (1, 2S) stack
+        # rows of S P^T and R^T read in place, with no (1, 2S) stack, at int
+        # indices, which numpy reads faster than its own integers
         s = self.n_states
-        j, i = js[0], is_[0]
-        p_j = self._pt[j]
+        j, i = int(js[0]), int(is_[0])
         y = (1.0 - beta) * y
         y[:s] += beta * x
-        y[s:] += beta * (s * p_j * (self._rt[j] + self.gamma * x[j]))
+        y[s:] += beta * (self._spt[j] * (self._rt[j] + self.gamma * x[j]))
         g = 2.0 * (y[i] - y[s + i])
         v = np.zeros(s)
         v[i] = g
-        v[j] += self.gamma * s * (p_j[i] * -g)
+        v[j] += self.gamma * s * (self._pt[j, i] * -g)
         return y, v
 
     def full_inner_value(self, x):
@@ -469,6 +476,18 @@ class PolicyEvalProblem(CompositionProblem):
         # jac is P, and (I; gamma P)^T v = v[:S] + gamma P^T v[S:]
         s = self.n_states
         return v[:s] + self.gamma * (v[s:] @ jac)
+
+    def objective_and_gradient(self, x):
+        # the residual x - T(x) once, for the outer values (w_i - t_i)^2 and for
+        # the mean outer gradient r = 2 (x - T(x)) / S, whose product with the
+        # mean Jacobian (I; gamma P) is r + gamma (-r)^T P: the generic row's
+        # element operations, so bitwise equal. Each matmul over a stack makes
+        # one product per row, bitwise that row's P @ x and (-r) @ P
+        x = self._check_x(x, stack=True)
+        res = x - (self.r_bar + self.gamma * np.matmul(self.transition, x[..., None])[..., 0])
+        r = 2.0 * res / self.n_states
+        grad = r + self.gamma * np.matmul((-r)[..., None, :], self.transition)[..., 0, :]
+        return row_values((res * res).mean(axis=-1)), grad
 
     def bellman_operator(self, x):
         return self.r_bar + self.gamma * (self.transition @ x)

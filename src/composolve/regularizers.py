@@ -21,7 +21,7 @@ class ZeroPenalty:
     def prox(self, x, eta):
         if eta <= 0:
             raise ValueError("prox step eta must be positive")
-        return np.asarray(x, dtype=np.float64).copy()
+        return np.array(x, dtype=np.float64)
 
     def min_norm_subgradient(self, x, grad_f):
         x = np.asarray(x, dtype=np.float64)
@@ -47,16 +47,12 @@ class L1Penalty:
         """Soft-thresholding at level eta * lam.
 
         Minimizer of h(x') + (1/(2 eta)) ||x' - x||^2, componentwise
-        sign(x_i) * max(|x_i| - eta*lam, 0).
+        sign(x_i) * max(|x_i| - eta*lam, 0), with the sign copied from x_i:
+        an entry of -0.0 maps to -0.0.
         """
         if eta <= 0:
             raise ValueError("prox step eta must be positive")
-        x = np.asarray(x, dtype=np.float64)
-        out = np.abs(x)
-        out -= eta * self.lam
-        np.maximum(out, 0.0, out=out)
-        out *= np.sign(x)
-        return out
+        return np.copysign(np.maximum(np.abs(x) - eta * self.lam, 0.0), x)
 
     def min_norm_subgradient(self, x, grad_f):
         """Subgradient g of h at x minimizing ||grad_f + g||.

@@ -224,13 +224,14 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
         return budget_wall_s is None or rec.elapsed_s() < budget_wall_s
 
     iters = epoch = inner_iter = 0
-    # x @ zeros is NaN when an entry of x is inf or NaN (inf * 0 is NaN) and
-    # 0 otherwise: one call, where np.isfinite(x).all() takes two
+    # x.dot(zeros) is NaN when an entry of x is inf or NaN (inf * 0 is NaN)
+    # and 0 otherwise: one call, where np.isfinite(x).all() takes two, and
+    # the method skips the ufunc dispatch of x @ zeros
     zeros = np.zeros(problem.dim_x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rec.record(0, 0, x, force=True)
         for epoch, inner_iter, x in steps(cp, x, room):
-            if x @ zeros != 0.0:
+            if x.dot(zeros) != 0.0:
                 rec.flush()  # a pending row that diverged first raises its own error
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x,
                                     counter)

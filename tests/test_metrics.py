@@ -234,8 +234,7 @@ class TestTraceRecorder:
         lambda: gen_linquad(13, 21, 6, 4, RngStream(11)),
     ], ids=["portfolio", "policy_eval", "linquad"])
     def test_block_makes_one_objective_and_gradient_call(self, make, monkeypatch):
-        # and one inner pass per row for the generic default (policy
-        # evaluation), none for the portfolio's and linquad's closed forms
+        # and no inner pass per row: every class here has a closed form
         prob = make()
         _, counter = counted(prob)
         rec = TraceRecorder(prob, L1Penalty(1e-3), 0.1, counter,
@@ -251,7 +250,7 @@ class TestTraceRecorder:
         for t in range(5):
             rec.record(0, t, rng.normal(size=prob.dim_x), force=t == 4)
         assert seen == [(5, prob.dim_x)] and len(rec.rows) == 5
-        assert len(inner) == (5 if isinstance(prob, PolicyEvalProblem) else 0)
+        assert inner == []
 
     def test_wall_and_queries_nondecreasing(self):
         prob = linquad()

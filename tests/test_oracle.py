@@ -65,6 +65,18 @@ class TestCounter:
                              np.zeros(prob.dim_x), np.zeros(prob.dim_y), 0.5)
         assert counter.snapshot() == (0, 0, 0)
 
+    @pytest.mark.parametrize("empty", ["A", "B", "I"])
+    def test_rejected_variance_reduced_step_is_not_charged(self, prob, empty):
+        # as for the tracking step: an empty A, B or I makes no query
+        cp, counter = counted(prob)
+        snap = solvers.compute_snapshot(prob, np.zeros(prob.dim_x))
+        sets = {"A": np.array([0, 1]), "B": np.array([2]), "I": np.array([3, 0])}
+        sets[empty] = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="index set must be nonempty"):
+            cp.variance_reduced_step(snap, sets["A"], sets["B"], sets["I"],
+                                     np.ones(prob.dim_x))
+        assert counter.snapshot() == (0, 0, 0)
+
     def test_wrapper_is_transparent(self, prob):
         rng = RngStream(3)
         p, r = gen_mdp(9, 3, rng)

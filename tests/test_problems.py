@@ -210,12 +210,13 @@ class TestOwnedData:
                 a.flat[0] = 1.0
 
     def test_policy_eval_holds_no_dense_mean_jacobian(self):
-        # P, its transpose and R's transpose, S x S each, and the S expected
-        # rewards: the mean Jacobian (I; gamma P) is known by P alone
+        # P, its transpose, S times its transpose and R's transpose, S x S
+        # each, and the S expected rewards: the mean Jacobian (I; gamma P) is
+        # known by P alone
         s = 40
         prob = PolicyEvalProblem(*gen_mdp(s, 3, RngStream(7)), 0.95)
         held = sum(a.nbytes for a in vars(prob).values() if isinstance(a, np.ndarray))
-        assert held == 8 * (3 * s * s + s)
+        assert held == 8 * (4 * s * s + s)
 
 
 # every closed-form transpose-Jacobian product: a nonlinear inner map's, and
@@ -565,6 +566,26 @@ class TestLinQuadRow:
             f_gen, g_gen = CompositionProblem.objective_and_gradient(prob, x)
             assert f == f_gen and np.array_equal(g, g_gen)
             assert prob.objective_f(x) == CompositionProblem.objective_f(prob, x) == f
+
+
+class TestPolicyEvalRow:
+    @pytest.mark.parametrize("n_states", [3, 8, 400])
+    def test_row_and_objective_equal_the_generic_ones_bitwise(self, n_states):
+        # the residual x - T(x), the mean of its squares and r + gamma (-r)^T P
+        # with r = 2 (x - T(x)) / S are the generic row's own element
+        # operations; each row of a (2, 3) stack is the row of its point
+        prob = small_policy_eval(n_states=n_states)
+        rng = RngStream(33)
+        stack = rng.normal(size=(2, 3, prob.dim_x))
+        f_stack, g_stack = prob.objective_and_gradient(stack)
+        assert f_stack.shape == (2, 3) and g_stack.shape == stack.shape
+        for x, f_row, g_row in zip(stack.reshape(6, -1), f_stack.ravel(),
+                                   g_stack.reshape(6, -1)):
+            f, g = prob.objective_and_gradient(x)
+            f_gen, g_gen = CompositionProblem.objective_and_gradient(prob, x)
+            assert f == f_gen and np.array_equal(g, g_gen)
+            assert prob.objective_f(x) == f
+            assert f_row == f and np.array_equal(g_row, g)
 
 
 class TestPolicyEvalEmbedding:
