@@ -29,7 +29,6 @@ from .metrics import (
     composite_grad_sq,
     gradient_mapping,
     objective_H,
-    objective_gap,
     queries_to_threshold,
 )
 from .solvers import (

@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import l2_norm_sq
-from .oracle import QueryCounter
+from .numerics import l2_norm_sq, sample_with_replacement
 
 # A recorded row waits for its diagnostics until at most this many record
 # calls (its own included) have passed. At trace stride 1 one stacked pass
@@ -57,11 +56,6 @@ def objective_H(problem, reg, x):
     return problem.objective_f(x) + reg.value(x)
 
 
-def objective_gap(problem, reg, x, x_star):
-    """H(x) - H(x_star); callers should verify x_star first."""
-    return objective_H(problem, reg, x) - objective_H(problem, reg, x_star)
-
-
 def _mapping(reg, x, g, eta):
     """Gradient mapping at x, given g = grad f(x)."""
     return (x - reg.prox(x - eta * g, eta)) / eta
@@ -90,18 +84,31 @@ def verify_optimum(problem, reg, x_star, eta):
     return float(np.sqrt(l2_norm_sq(gradient_mapping(problem, reg, x_star, eta))))
 
 
+def estimator_error(problem, snap, x, rng, draws):
+    """The error e = v - grad f(x) of `draws` variance-reduced steps at x from
+    the epoch snapshot snap, each over index sets A, B and I of 5 indices
+    drawn from rng: (mean of e, its standard error per entry, mean of
+    ||e||^2). On the raw problem it spends no counted query."""
+    grad = problem.full_gradient(x)
+    highs = np.repeat([problem.n2, problem.n2, problem.n1], 5)
+    errors = np.array([problem.variance_reduced_step(snap, *np.split(row, 3), x) - grad
+                       for row in sample_with_replacement(rng, highs, draws)])
+    return (errors.mean(axis=0), errors.std(axis=0, ddof=1) / math.sqrt(draws),
+            float(l2_norm_sq(errors).mean()))
+
+
 class DivergedError(RuntimeError):
     """An iterate or its objective stopped being finite; carries the finite
-    trace, the last iterate, a query counter (the run's own for an iterate,
-    and for a row one that holds the query triple of that row) and
+    trace, the last iterate, queries (the query triple of the diverged
+    iterate's row, or of the run when the iterate itself is not finite) and
     total_queries, the queries the run had spent when it stopped."""
 
-    def __init__(self, message, trace, x_last, counter, total_queries=None):
+    def __init__(self, message, trace, x_last, queries, total_queries):
         super().__init__(message)
         self.trace = trace
         self.x_last = x_last
-        self.counter = counter
-        self.total_queries = counter.total if total_queries is None else total_queries
+        self.queries = queries
+        self.total_queries = total_queries
 
 
 class TraceRecorder:
@@ -120,10 +127,10 @@ class TraceRecorder:
     block, whose first row has then waited at most _ROW_BLOCK_STEPS record
     calls, its own included, at every forced record, and at `flush`. The
     first pending row whose objective is not finite raises `DivergedError`
-    with the rows before it, its own iterate (the object recorded), a
-    counter that holds its query triple and, as total_queries, the live
-    counter's total, which counts the steps run while the row waited; the
-    rows after it are dropped.
+    with the rows before it, its own iterate (the object recorded), its
+    query triple and, as total_queries, the live counter's total, which
+    counts the steps run while the row waited; the rows after it are
+    dropped.
     """
 
     def __init__(self, problem, reg, eta, counter, x_star=None, stride=1):
@@ -177,9 +184,7 @@ class TraceRecorder:
         table = [columns] if x.ndim == 1 else np.transpose(columns).tolist()
         for (epoch, inner_iter, wall_ms, queries, x_row), values in zip(pending, table):
             if not math.isfinite(values[0]):
-                counter = QueryCounter()
-                counter.add(*queries)
-                raise DivergedError("objective is not finite", self.rows, x_row, counter,
+                raise DivergedError("objective is not finite", self.rows, x_row, queries,
                                     self.counter.total)
             self.rows.append(TraceRecord(epoch, inner_iter, wall_ms, *queries, *values))
 

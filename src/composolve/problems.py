@@ -252,8 +252,9 @@ class PortfolioProblem(CompositionProblem):
         self.dim_y = self.dim_x + 1
         self.r_bar = read_only(rewards.mean(axis=0))
 
-    # The evaluators gather reward rows with take, which costs a third of
-    # fancy indexing on the one- to five-index batches of a solver step.
+    # The evaluators gather reward rows with take, a third of the cost of
+    # fancy indexing on one- to five-index batches. No solver step calls
+    # them: both of the class's steps are closed forms.
     def inner_value_batch(self, js, x):
         out = np.empty((len(js), self.dim_y))
         out[:, : self.dim_x] = x
@@ -382,12 +383,10 @@ class PolicyEvalProblem(CompositionProblem):
         self.dim_y = 2 * s
         # expected one-step reward per state
         self.r_bar = read_only((transition * reward).sum(axis=1))
-        # G_j reads column j of P and of R: keep both transposed, so that a
-        # batch gathers contiguous rows
-        self._pt = read_only(np.ascontiguousarray(transition.T))
+        # G_j reads column j of S P and of R, kept as rows of S P^T and R^T;
+        # row j of S P^T is bitwise s * P[:, j]
+        self._spt = read_only(np.multiply(s, transition.T, out=np.empty((s, s))))
         self._rt = read_only(np.ascontiguousarray(reward.T))
-        # S P^T, whose row j is bitwise s * P[:, j]: the tracking step's factor
-        self._spt = read_only(s * self._pt)
 
     @property
     def reward(self):
@@ -398,17 +397,15 @@ class PolicyEvalProblem(CompositionProblem):
         s = self.n_states
         out = np.empty((len(js), 2 * s))
         out[:, :s] = x
-        out[:, s:] = (
-            s * self._pt.take(js, axis=0)
-            * (self._rt.take(js, axis=0) + self.gamma * x[js][:, None])
-        )
+        out[:, s:] = (self._spt.take(js, axis=0)
+                      * (self._rt.take(js, axis=0) + self.gamma * x[js][:, None]))
         return out
 
     def inner_jacobian_batch(self, js, x):
         s = self.n_states
         out = np.zeros((len(js), 2 * s, s))
         out[:, np.arange(s), np.arange(s)] = 1.0
-        out[np.arange(len(js)), s:, js] = self.gamma * s * self._pt.take(js, axis=0)
+        out[np.arange(len(js)), s:, js] = self.gamma * s * self.transition.take(js, axis=1).T
         return out
 
     def outer_value_batch(self, is_, y):
@@ -429,15 +426,16 @@ class PolicyEvalProblem(CompositionProblem):
         # u - u_s as one difference: G_j(x_tilde) - G_j(x) = (d, gamma S d_j P[:, j])
         # with d = x_tilde - x (R cancels), and grad F_i is affine in y, so u - u_s
         # is (a, -a) with a the sum over I of w_i = 2 (e_i - d_i) / k at i, where
-        # e_i = (gamma S / |A|) sum_a d_a P[i, a] is read from the A x I block of
-        # P^T. Then J_s^T (u - u_s) = a - gamma P^T a, and P^T a = w^T P_I from
-        # the I rows of P. As in the portfolio's step, the zero Jacobian
-        # correction is not formed
+        # e_i = (gamma S / |A|) sum_a d_a P[i, a] is a product with the A x I
+        # block of P^T, copied in its C layout (a transposed view would round
+        # differently). Then J_s^T (u - u_s) = a - gamma P^T a, and
+        # P^T a = w^T P_I from the I rows of P. As in the portfolio's step, the
+        # zero Jacobian correction is not formed
         nonempty(b_idx)
         s = self.n_states
         d = snap.x_tilde - x
-        e = ((self.gamma * s / len(nonempty(a_idx)))
-             * d[a_idx].dot(self._pt.take(a_idx, axis=0).take(i_idx, axis=1)))
+        block = np.ascontiguousarray(self.transition.take(i_idx, 0).take(a_idx, 1).T)
+        e = (self.gamma * s / len(nonempty(a_idx))) * d[a_idx].dot(block)
         w = (e - d[i_idx]) * (2.0 / len(nonempty(i_idx)))
         return (np.bincount(i_idx, w, minlength=s)
                 - self.gamma * w.dot(snap.J_s.take(i_idx, axis=0)) + snap.grad_f_s)
@@ -446,8 +444,9 @@ class PolicyEvalProblem(CompositionProblem):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
         # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
         # plus gamma S P[i, j] (-g) at j (added to g where j = i), from the
-        # rows of S P^T and R^T read in place, with no (1, 2S) stack, at int
-        # indices, which numpy reads faster than its own integers
+        # rows of S P^T and R^T and the entry P[i, j] read in place, with no
+        # (1, 2S) stack, at int indices, which numpy reads faster than its own
+        # integers
         s = self.n_states
         j, i = int(js[0]), int(is_[0])
         y = (1.0 - beta) * y
@@ -456,7 +455,7 @@ class PolicyEvalProblem(CompositionProblem):
         g = 2.0 * (y[i] - y[s + i])
         v = np.zeros(s)
         v[i] = g
-        v[j] += self.gamma * s * (self._pt[j, i] * -g)
+        v[j] += self.gamma * s * (self.transition[i, j] * -g)
         return y, v
 
     def full_inner_value(self, x):
@@ -671,15 +670,8 @@ class LassoProblem(FiniteSumProblem):
         r = self.design[is_] @ x - self.targets[is_]
         return r[:, None] * self.design[is_]
 
-    def _residual(self, x):
-        return self.design @ self._check_x(x) - self.targets
-
-    def objective_f(self, x):
-        r = self._residual(x)
-        return float((0.5 * r * r).mean())
-
     def mean_outer_gradient(self, y):
-        return self.design.T @ self._residual(y) / self.n
+        return self.design.T @ (self.design @ self._check_x(y) - self.targets) / self.n
 
     def objective_and_gradient(self, x):
         # G(x) = x, so no full pass: Ax - y once, for f(x) and A^T (Ax - y) / n.

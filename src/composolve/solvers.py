@@ -25,12 +25,12 @@ queries are read when its iterate is recorded, its diagnostics up to
 _ROW_BLOCK_STEPS record calls later, and every pending row before the loop
 raises and when the run ends. A non-finite iterate, or a row (the start
 row too) whose objective the recorder finds non-finite, ends the run with
-`DivergedError`, which carries the finite rows before it and that iterate.
-Its counter is the run's own for a non-finite iterate, and holds the
-row's own query triple for a row, although steps after the row may have
-run before its block was evaluated; its `total_queries` counts those
-steps too. numpy's overflow warnings are silenced inside the loop, since
-that error reports the divergence.
+`DivergedError`, which carries the finite rows before it, that iterate and
+its query triple: the run's, for a non-finite iterate, and the row's own
+for a row, although steps after the row may have run before its block was
+evaluated; its `total_queries` counts those steps too. numpy's overflow
+warnings are silenced inside the loop, since that error reports the
+divergence.
 
 The stochastic solvers draw their index sets a block of steps at a time
 (`_index_sets`), which replays bitwise the draws of one stream call per
@@ -234,7 +234,7 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
             if x.dot(zeros) != 0.0:
                 rec.flush()  # a pending row that diverged first raises its own error
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x,
-                                    counter)
+                                    counter.snapshot(), counter.total)
             iters += 1
             rec.record(epoch, inner_iter, x)
         # the last iterate: a new row if it fell between strides, and in any

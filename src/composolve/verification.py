@@ -339,6 +339,35 @@ def check_snapshot_cancellation():
     )
 
 
+def check_variance_vanishes_at_snapshot():
+    """The variance-reduced step's error v - grad f(x) has zero mean and a mean
+    square that shrinks with the square of the distance from the snapshot, for
+    every composition class: at radii 1e-1, 1e-2 and 1e-3 along one direction
+    the log-log slope of the mean square lies in [1.8, 2.2], and at the
+    largest radius every entry of the mean error lies within 4 standard
+    errors of zero. The raw problem's hook runs, so every closed form is
+    covered and no counted query is spent."""
+    rng = RngStream(23)
+    radii = (1e-1, 1e-2, 1e-3)
+    slopes, worst_z = [], 0.0
+    for prob in _compositions():
+        x_tilde, direction = rng.normal(size=(2, prob.dim_x))
+        snap = solvers.compute_snapshot(prob, x_tilde)
+        unit = direction / np.linalg.norm(direction)
+        errors = [metrics.estimator_error(prob, snap, x_tilde + r * unit, rng, 2000)
+                  for r in radii]
+        slopes.append(float(np.polyfit(np.log(radii), np.log([e[2] for e in errors]), 1)[0]))
+        mean, stderr, _ = errors[0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero entry has no z
+            z = np.where(mean == 0.0, 0.0, np.abs(mean) / stderr)
+        worst_z = max(worst_z, float(z.max()))
+    ok = all(1.8 <= s <= 2.2 for s in slopes) and worst_z <= 4.0
+    return "variance vanishes at the snapshot", ok, (
+        f"slopes {min(slopes):.3f} to {max(slopes):.3f}, worst z = {worst_z:.1f}, "
+        "every composition class"
+    )
+
+
 def check_full_batch_degeneration():
     """With m = 1, vrsc_pg with full or single-index batches is proximal
     gradient descent: every row's objective within 1e-12, x_final bitwise."""
@@ -389,7 +418,7 @@ def check_trace_blocks():
                 counter.add(1, 2, 3)  # each row gets its own query triple
                 rec.record(0, t, x, force=one_at_a_time or t == len(points) - 1)
         except metrics.DivergedError as err:
-            return [vars(r) for r in err.trace], err.x_last, err.counter.snapshot(), str(err)
+            return [vars(r) for r in err.trace], err.x_last, err.queries, str(err)
         return [vars(r) for r in rec.rows], None, None, None
 
     for prob in _compositions():
@@ -457,6 +486,7 @@ ALL_CHECKS = (
     check_counting_transparency,
     check_closed_forms_match_generic,
     check_snapshot_cancellation,
+    check_variance_vanishes_at_snapshot,
     check_full_batch_degeneration,
     check_determinism,
     check_trace_blocks,

@@ -210,13 +210,12 @@ class TestOwnedData:
                 a.flat[0] = 1.0
 
     def test_policy_eval_holds_no_dense_mean_jacobian(self):
-        # P, its transpose, S times its transpose and R's transpose, S x S
-        # each, and the S expected rewards: the mean Jacobian (I; gamma P) is
-        # known by P alone
+        # P, S times its transpose and R's transpose, S x S each, and the S
+        # expected rewards: the mean Jacobian (I; gamma P) is known by P alone
         s = 40
         prob = PolicyEvalProblem(*gen_mdp(s, 3, RngStream(7)), 0.95)
         held = sum(a.nbytes for a in vars(prob).values() if isinstance(a, np.ndarray))
-        assert held == 8 * (4 * s * s + s)
+        assert held == 8 * (3 * s * s + s)
 
 
 # every closed-form transpose-Jacobian product: a nonlinear inner map's, and
@@ -586,6 +585,33 @@ class TestPolicyEvalRow:
             assert f == f_gen and np.array_equal(g, g_gen)
             assert prob.objective_f(x) == f
             assert f_row == f and np.array_equal(g_row, g)
+
+
+# every class, at the scale of the built-in checks and at a benchmark's
+OBJECTIVE_PROBLEMS = {
+    "portfolio": small_portfolio, "portfolio_desk": desk_portfolio,
+    "policy_eval": small_policy_eval, "policy_eval_s400": partial(small_policy_eval,
+                                                                  n_states=400),
+    "linquad": small_linquad, "linquad_bench": bench_linquad,
+    "lasso": lambda: gen_lasso(12, 6, RngStream(3)),
+    "lasso_edge": lambda: gen_lasso(40, 8, RngStream(12)),
+}
+
+
+class TestObjectiveF:
+    @pytest.mark.parametrize("name", sorted(OBJECTIVE_PROBLEMS))
+    def test_equals_the_row_objective_bitwise(self, name):
+        # a trace row's gap subtracts objective_f's H(x_star) from the row's
+        # objective_and_gradient value, so the two must be one function of x,
+        # at a point and as a row of a stack, at iterates with exact zeros too
+        prob = OBJECTIVE_PROBLEMS[name]()
+        points = RngStream(34).normal(size=(20, prob.dim_x))
+        points[::2, ::3] = 0.0  # as an L1 prox leaves them
+        points[1::4, 1::3] = -0.0
+        points[3] = 0.0
+        f_stack, _ = prob.objective_and_gradient(points)
+        for x, f_row in zip(points, f_stack):
+            assert prob.objective_f(x) == prob.objective_and_gradient(x)[0] == f_row
 
 
 class TestPolicyEvalEmbedding:

@@ -5,21 +5,24 @@
 
 `--out` runs, in one process, one round of each workload that
 perfbench/workloads.py defines (the pool seeds that workload seed 0
-visits first), then six edge runs: on a small policy-evaluation
+visits first), then seven edge runs: on a small policy-evaluation
 instance a `tol` stop, a query budget that ends an epoch midway, and a
 divergence; then the shipped steps that take a generic default and no
 workload runs, `vrsc_pg` and `scpg_baseline` on a small lasso and
-`scpg_baseline` on a small linquad. Each of the three edge instances is
-first solved by `cli.compute_reference`, whose optimum the edge runs take
-as x_star, so that their rows have a gap. Every call of the solvers'
-shared loop (`solvers._drive`), the step-size sweeps' trials and reference
-solves included, gives one fingerprint: the sha256 of x_final, the
-iteration count, the query triple, and every trace field but wall_ms, with
-the values, so that a diff can size a change. A diverged call gives its
-finite rows and the queries spent, from the error's counter. `--root` runs another
-checkout's src/ and perfbench/ instead of this one's, so that a change
-can be set against its parent; a checkout whose `DivergedError` carries
-no counter is recorded with its own copy of this tool.
+`scpg_baseline` on a small linquad; last `scpg_baseline` on the
+policy-evaluation instance under the L1 weight 1e-2, whose x_final must
+hold an exact zero, so that a zero whose sign flips changes its sha256.
+Each edge instance and penalty is first solved by `cli.compute_reference`,
+whose optimum the edge runs take as x_star, so that their rows have a gap.
+Every call of the solvers' shared loop (`solvers._drive`), the step-size
+sweeps' trials and reference solves included, gives one fingerprint: the
+sha256 of x_final, the iteration count, the query triple, and every trace
+field but wall_ms, with the values, so that a diff can size a change. A
+diverged call gives its finite rows and the query triple its
+`DivergedError` carries. `--root` runs another checkout's src/ and
+perfbench/ instead of this one's, so that a change can be set against its
+parent; record an older checkout with that checkout's own copy of this
+tool, which matches the error and the edge runs of its sources.
 
 `--diff` prints, as JSON, the first call and field that differ and the
 largest relative change: |a - b| / |a| for a row value, but against the
@@ -77,13 +80,13 @@ def record(root):
     calls, stage = [], ["start"]
     drive = solvers._drive
 
-    def fingerprint(solver, x, rows, counter, n_iters, diverged):
+    def fingerprint(solver, x, rows, queries, n_iters, diverged):
         x = np.ascontiguousarray(x, dtype=np.float64)
         calls.append({
             "call": f"{stage[0]} #{len(calls)} {solver}",
             "solver": solver,
             "n_iters": n_iters,
-            "queries": list(counter.snapshot()),
+            "queries": list(queries),
             "diverged": diverged,
             "x_sha": hashlib.sha256(x.tobytes()).hexdigest(),
             "x_final": x.tolist(),
@@ -95,9 +98,10 @@ def record(root):
         try:
             res = drive(*args, **kwargs)
         except metrics.DivergedError as err:
-            fingerprint(solver, err.x_last, err.trace, err.counter, None, str(err))
+            fingerprint(solver, err.x_last, err.trace, err.queries, None, str(err))
             raise
-        fingerprint(solver, res.x_final, res.trace, res.counter, res.n_iters, None)
+        fingerprint(solver, res.x_final, res.trace, res.counter.snapshot(), res.n_iters,
+                    None)
         return res
 
     solvers._drive = fingerprinted
@@ -146,6 +150,15 @@ def record(root):
         x_star = reference("linquad", linquad, reg)
         stage[0] = "edge/linquad_scpg"
         solvers.scpg_baseline(linquad, reg, x_star=x_star, **scpg)
+        # the policy-evaluation instance again, under an L1 penalty that the
+        # baseline's iterate meets: an exact zero of x_final, whose sign the
+        # sha256 pins
+        x_star = reference("policy_eval_l1", prob, reg)
+        stage[0] = "edge/policy_eval_scpg"
+        res = solvers.scpg_baseline(prob, reg, x_star=x_star,
+                                    **dict(scpg, alpha0=10.0, iters=2000))
+        if not np.any(res.x_final == 0.0):
+            raise RuntimeError("the policy-evaluation scpg run must end with an exact zero")
     finally:
         solvers._drive = drive
     return {"fields": fields, "calls": calls}
