@@ -119,13 +119,20 @@ class CountedCompositionProblem(CompositionProblem):
 
 class CountedFiniteSumProblem(CountedCompositionProblem):
     """Counting wrapper for plain finite sums: a counted composition, plus the
-    component gradients that Proximal SVRG reads, each an outer gradient that
-    costs one query of that kind.
+    component gradients, each an outer gradient that costs one query of that
+    kind, and the mean of their paired differences that a Proximal SVRG step
+    reads, which costs two per index.
     """
 
     def comp_gradient_batch(self, is_, x):
         self.counter.add(outer_gradient=len(is_))
         return self._problem.comp_gradient_batch(is_, x)
+
+    def comp_gradient_diff_mean(self, is_, x_tilde, x):
+        # charged like the step hooks, once the hook has returned
+        diff = self._problem.comp_gradient_diff_mean(is_, x_tilde, x)
+        self.counter.outer_gradient_queries += 2 * len(is_)
+        return diff
 
 
 def counted(problem):

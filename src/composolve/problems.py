@@ -21,7 +21,9 @@ default built from them, which a subclass may override with a closed form
 - `variance_reduced_step(snap, a_idx, b_idx, i_idx, x)`: the gradient
   estimate of one variance-reduced step, whose generic default is the
   estimators of the solvers module; the portfolio, policy evaluation and
-  linquad form its correction J_s^T (u - u_s) as one difference;
+  linquad form its correction J_s^T (u - u_s) as one difference, and a
+  finite sum as the one `comp_gradient_diff_mean` of Proximal SVRG's step,
+  which the lasso gives in closed form;
 - `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
   gradient estimate of one two-timescale step, at one index each;
 - `objective_and_gradient(x)`: f(x) and grad f(x) for trace rows, at one point
@@ -611,7 +613,9 @@ class FiniteSumProblem(CompositionProblem):
     inner Jacobian needs no data and J^T u is u, and whose outer functions are
     the f_i. A subclass calls __init__(n, dim_x) and implements the component
     evaluators f_i(x) and grad f_i(x), batched like the outer ones, for
-    Proximal SVRG.
+    Proximal SVRG. The correction of a variance-reduced step, in `prox_svrg`
+    and `vrsc_pg` alike, is one `comp_gradient_diff_mean` call, which a
+    subclass may give in closed form.
     """
 
     def __init__(self, n, dim_x):
@@ -649,6 +653,21 @@ class FiniteSumProblem(CompositionProblem):
     def mean_inner_vjp(self, jac, v):
         return v
 
+    def comp_gradient_diff_mean(self, is_, x_tilde, x):
+        """mean_i (grad f_i(x_tilde) - grad f_i(x)) over is_, the correction of
+        one variance-reduced step; 2 outer-gradient queries per index."""
+        return paired_diff_mean(self.comp_gradient_batch, nonempty(is_), x_tilde, x)
+
+    def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
+        # g_hat = x for the identity map, so u - u_s is the mean over I of
+        # grad f_i(x) - grad f_i(x_tilde), and the step is the generic
+        # estimator in exact arithmetic: Proximal SVRG's correction, one hook
+        # call, where the default subtracts the two full means u and u_s. The
+        # zero Jacobian correction is not formed
+        nonempty(a_idx)
+        nonempty(b_idx)
+        return snap.grad_f_s - self.comp_gradient_diff_mean(i_idx, snap.x_tilde, x)
+
 
 class LassoProblem(FiniteSumProblem):
     """Least-squares components f_i(x) = 0.5 (<a_i, x> - y_i)^2."""
@@ -669,6 +688,13 @@ class LassoProblem(FiniteSumProblem):
     def comp_gradient_batch(self, is_, x):
         r = self.design[is_] @ x - self.targets[is_]
         return r[:, None] * self.design[is_]
+
+    def comp_gradient_diff_mean(self, is_, x_tilde, x):
+        # grad f_i(x_tilde) - grad f_i(x) = a_i <a_i, d> with d = x_tilde - x:
+        # the targets cancel, the k rows are gathered once, and no (k, N)
+        # gradient stack is built
+        a = self.design.take(nonempty(is_), axis=0)
+        return a.dot(x_tilde - x).dot(a) / len(is_)
 
     def mean_outer_gradient(self, y):
         return self.design.T @ (self.design @ self._check_x(y) - self.targets) / self.n

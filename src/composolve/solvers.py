@@ -314,7 +314,9 @@ def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
 
     Each epoch computes the full gradient f' at the snapshot, the mean of the
     n component gradients, then m inner steps with the corrected estimate
-    f' - (grad f_i(x_tilde) - grad f_i(x)). `run`: the run options of `_drive`.
+    f' - (grad f_i(x_tilde) - grad f_i(x)), one `comp_gradient_diff_mean`
+    call, which the lasso's `vrsc_pg` step shares. `run`: the run options of
+    `_drive`.
     """
     if not isinstance(fsp, FiniteSumProblem):
         raise TypeError(f"prox_svrg needs a FiniteSumProblem, got {type(fsp).__name__}")
@@ -334,7 +336,7 @@ def prox_svrg(fsp, reg, eta, m, S_epochs, seed, **run):
                 if not room():
                     return
                 (i,) = next(draws)
-                v_t = f_prime - paired_diff_mean(cp.comp_gradient_batch, i, x_tilde, x)
+                v_t = f_prime - cp.comp_gradient_diff_mean(i, x_tilde, x)
                 x = reg.prox(x - eta * v_t, eta)
                 yield s, t + 1, x
 

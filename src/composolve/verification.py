@@ -246,7 +246,8 @@ def check_counting_transparency():
             ("outer_value_batch", (is_, y), (0, 0, 0)),
         ]
         if isinstance(prob, problems.FiniteSumProblem):
-            table.append(("comp_gradient_batch", (is_, x), (0, 0, k)))
+            table += [("comp_gradient_batch", (is_, x), (0, 0, k)),
+                      ("comp_gradient_diff_mean", (is_, x_tilde, x), (0, 0, 2 * k))]
         for name, args, charge in table:
             same &= same_and_charged(cp, counter, prob, name, args, charge)
         untested |= {name for name in dir(cp) if not name.startswith("_")
@@ -266,7 +267,8 @@ def check_closed_forms_match_generic():
     at j = i (where policy evaluation's v puts both of its terms on one
     entry). The mean Jacobian, the class's own operator data, is applied by
     its `mean_inner_vjp` to a dense v, to a v with two nonzeros per half and
-    to every unit vector, against the dense mean."""
+    to every unit vector, against the dense mean. The lasso's paired
+    difference of component gradients is held to the finite sum's default."""
     rng = RngStream(20)
     is_ = np.array([1, 0, 1, 2])  # repeated indices included
     worst, where = 0.0, "none"
@@ -304,6 +306,10 @@ def check_closed_forms_match_generic():
                 continue  # no override: the default would meet itself
             compare(f"{prob.kind}.{name}", getattr(prob, name)(*args),
                     getattr(base, name)(prob, *args))
+        if isinstance(prob, problems.FiniteSumProblem):
+            compare(f"{prob.kind}.comp_gradient_diff_mean",
+                    prob.comp_gradient_diff_mean(is_, x_tilde, x),
+                    problems.FiniteSumProblem.comp_gradient_diff_mean(prob, is_, x_tilde, x))
         jac, dense = prob.full_inner_jacobian(x), base.full_inner_jacobian(prob, x)
         for v in (u, sparse, *np.eye(prob.dim_y)):
             compare(f"{prob.kind}.full_inner_jacobian", prob.mean_inner_vjp(jac, v),
@@ -496,5 +502,13 @@ ALL_CHECKS = (
 
 
 def run_all():
-    """Run every check; returns a list of (name, passed, detail)."""
-    return [fn() for fn in ALL_CHECKS]
+    """Run every check; returns a list of (name, passed, detail). A check that
+    raises fails, under its function's name, with the exception's type and
+    message as its detail, and the checks after it still run."""
+    results = []
+    for fn in ALL_CHECKS:
+        try:
+            results.append(fn())
+        except Exception as err:
+            results.append((fn.__name__, False, f"raised {type(err).__name__}: {err}"))
+    return results

@@ -589,6 +589,20 @@ class TestCheckCommand:
         monkeypatch.setattr(CountedCompositionProblem, "inner_jacobian_batch", charged_twice)
         assert not verification.check_counting_transparency()[1]
 
+    def test_check_that_raises_fails_alone(self, monkeypatch, capsys):
+        # the exception is one FAIL row, and the checks after it still run
+        def raises():
+            raise ValueError("shapes (3,) and (4,4) not aligned")
+
+        monkeypatch.setattr(verification, "ALL_CHECKS", (
+            verification.check_mdp_generation, raises, verification.check_prox_properties))
+        assert cli.main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("]")[0] for line in lines[:3]] == ["[PASS", "[FAIL", "[PASS"]
+        assert lines[1] == ("[FAIL] raises: raised ValueError: shapes (3,) and (4,4) "
+                            "not aligned")
+        assert lines[3] == "2/3 checks passed"
+
 
 class TestMainEntry:
     def test_gen_run_plot_pipeline(self, tmp_path, capsys):

@@ -77,6 +77,14 @@ class TestCounter:
                                      np.ones(prob.dim_x))
         assert counter.snapshot() == (0, 0, 0)
 
+    def test_rejected_comp_gradient_diff_mean_is_not_charged(self):
+        # the finite sum's step hook, as for the two step hooks: an empty
+        # index set makes no query
+        cp, counter = counted(gen_lasso(10, 4, RngStream(4)))
+        with pytest.raises(ValueError, match="index set must be nonempty"):
+            cp.comp_gradient_diff_mean(np.array([], dtype=np.int64), np.ones(4), np.zeros(4))
+        assert counter.snapshot() == (0, 0, 0)
+
     def test_wrapper_is_transparent(self, prob):
         rng = RngStream(3)
         p, r = gen_mdp(9, 3, rng)

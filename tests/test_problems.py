@@ -476,15 +476,16 @@ class TestExactReference:
         for name, errors in worst.items():
             assert_accurate(errors, name)
 
-    # PR 22's bound on its three instances, the desk portfolio, policy evaluation
-    # at S = 24 and the benchmark's linquad (each below 1.3e-15 here). The 12 x 4
+    # BOUND on the desk portfolio, policy evaluation at S = 24, the benchmark's
+    # linquad and a 10 x 4 lasso (each below 1.3e-15 here). The 12 x 4
     # portfolio has its own: at |A| = |I| = 1 near the snapshot its closed form
     # subtracts r_i.d and delta = r_a.d, rounded apart and agreeing to 3%, and
     # reached 1.5e-14
     @pytest.mark.parametrize("maker, bound", [
         (small_portfolio, 5e-14), (desk_portfolio, BOUND),
         (partial(small_policy_eval, n_states=24), BOUND), (bench_linquad, BOUND),
-    ], ids=["portfolio", "portfolio_desk", "policy_eval", "linquad"])
+        (AFFINE_PROBLEMS["lasso"], BOUND),
+    ], ids=["portfolio", "portfolio_desk", "policy_eval", "linquad", "lasso"])
     @pytest.mark.parametrize("eps", [None, 1e-2, 1e-5, 1e-8])
     def test_variance_reduced_step(self, maker, bound, eps):
         # at an independent x (eps None), and at x = x_tilde + eps * noise with

@@ -544,14 +544,16 @@ class TestProxSvrg:
     def test_vrsc_pg_on_the_identity_inner_map_is_prox_svrg(self, seed):
         # a finite sum is the composition whose one inner map is the identity;
         # there vrsc_pg with A = B = b1 = 1 takes Proximal SVRG's steps, from
-        # the same draws, since a population of one takes no word of the stream
+        # the same draws, since a population of one takes no word of the stream,
+        # and bitwise, since both steps are the same comp_gradient_diff_mean
+        # subtracted from the same full gradient
         fsp, reg = gen_lasso(40, 8, RngStream(12)), L1Penalty(1e-2)
         cfg = VrscpgConfig(eta=0.3, m=20, S_epochs=5, A=1, B=1, b1=1, seed=seed)
         vr = vrsc_pg(fsp, reg, cfg)
         svrg = prox_svrg(fsp, reg, eta=0.3, m=20, S_epochs=5, seed=seed)
         assert vr.n_iters == svrg.n_iters == 100
-        rel = np.max(np.abs(vr.x_final - svrg.x_final)) / np.max(np.abs(svrg.x_final))
-        assert rel <= 1e-15
+        assert np.array_equal(vr.x_final, svrg.x_final)
+        assert [r.objective for r in vr.trace] == [r.objective for r in svrg.trace]
         # vrsc_pg also pays for the identity: 1 + 1 + n per snapshot, 2 + 2 + 2 per step
         assert vr.counter.snapshot() == (205, 205, 400)
         assert svrg.counter.snapshot() == (0, 0, 400)
@@ -856,8 +858,7 @@ def per_step_prox_svrg(fsp, reg, eta, m, S_epochs, seed, **kw):
                 if not room():
                     return
                 i = sample_with_replacement(rng, fsp.n, 1)
-                v_t = (cp.comp_gradient_batch(i, x)[0]
-                       - cp.comp_gradient_batch(i, x_tilde)[0] + f_prime)
+                v_t = f_prime - cp.comp_gradient_diff_mean(i, x_tilde, x)
                 x = reg.prox(x - eta * v_t, eta)
                 yield s, t + 1, x
 

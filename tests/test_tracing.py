@@ -4,7 +4,8 @@ each solver must still be found, traced and put back."""
 import importlib.util
 from pathlib import Path
 
-from composolve import cli, metrics, numerics, oracle, problems, regularizers, solvers
+from composolve import (cli, metrics, numerics, oracle, problems, regularizers, solvers,
+                        verification)
 from composolve.numerics import RngStream
 
 TOOL = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -27,8 +28,9 @@ def tiny_runs():
     fsp = problems.gen_lasso(12, 6, RngStream(3))
     reg = regularizers.L1Penalty(1e-3)
     cfg = solvers.VrscpgConfig(eta=0.05, m=3, S_epochs=2, A=2, B=2, b1=2, seed=1)
-    # on the lasso, whose step is the generic default: the solvers' estimators
-    solvers.vrsc_pg(fsp, reg, cfg, trace_stride=2)
+    # on the lasso's evaluators alone, whose step is the generic default, the
+    # solvers' estimators: every shipped class's step is a closed form
+    solvers.vrsc_pg(verification._generic_view(fsp), reg, cfg, trace_stride=2)
     solvers.scpg_baseline(prob, reg, 0.05, 1.0, 0.75, 0.5, iters=5, seed=2)
     solvers.prox_svrg(fsp, reg, 0.1, 3, 2, seed=3, budget_queries=20)
     solvers.prox_full_gradient(prob, reg, 0.05, 4)
