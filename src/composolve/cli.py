@@ -39,11 +39,11 @@ def build_problem(spec):
     return problems.generate_problem(spec)
 
 
-def estimate_lipschitz(problem, seed=0, trials=5):
-    """Crude gradient-Lipschitz estimate by random secants."""
-    rng = RngStream(seed)
+def estimate_lipschitz(problem):
+    """Crude gradient-Lipschitz estimate: the steepest of five random secants."""
+    rng = RngStream(0)
     best = 1e-12
-    for _ in range(trials):
+    for _ in range(5):
         x = rng.normal(size=problem.dim_x)
         d = rng.normal(size=problem.dim_x)
         d /= np.linalg.norm(d)

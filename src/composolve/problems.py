@@ -445,10 +445,10 @@ class PolicyEvalProblem(CompositionProblem):
     def tracking_step(self, js, is_, x, y, beta):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
         # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
-        # plus gamma S P[i, j] (-g) at j (added to g where j = i), from the
-        # rows of S P^T and R^T and the entry P[i, j] read in place, with no
-        # (1, 2S) stack, at int indices, which numpy reads faster than its own
-        # integers
+        # plus (gamma S P[i, j]) (-g) at j, rounded as the dense default rounds
+        # it, bitwise where j != i (added to g where j = i); from the rows of
+        # S P^T and R^T and the entry P[i, j] read in place, with no (1, 2S)
+        # stack, at int indices, which numpy reads faster than its own integers
         s = self.n_states
         j, i = int(js[0]), int(is_[0])
         y = (1.0 - beta) * y
@@ -457,7 +457,7 @@ class PolicyEvalProblem(CompositionProblem):
         g = 2.0 * (y[i] - y[s + i])
         v = np.zeros(s)
         v[i] = g
-        v[j] += self.gamma * s * (self.transition[i, j] * -g)
+        v[j] += (self.gamma * s * self.transition[i, j]) * -g
         return y, v
 
     def full_inner_value(self, x):

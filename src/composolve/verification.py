@@ -1,10 +1,10 @@
 """Built-in verification suite: the one definition of each core invariant.
 
 Each check runs at desk scale over every problem class it applies to and
-returns (name, passed, detail), with passed a plain bool. The CLI `check`
-subcommand prints one line per check and exits nonzero on any failure;
-the CLI tests run each check once, the acceptance tests print the lines
-of their criteria, and the module tests add independent oracles.
+returns (name, passed, detail), passed a plain bool; `composolve check`
+prints one line per check and exits nonzero on any failure. Tier-1 runs
+each check once, unmodified, in `TestCheckCommand.test_builtin_check_passes`;
+module tests add independent oracles and the cases a check leaves out.
 """
 
 import math

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -552,6 +555,12 @@ class TestCmdPlot:
         assert out.read_text().count("<polyline") == 1
 
 
+def passes():
+    """A check that passes, so that the tests of `composolve check` itself run
+    no built-in check a second time."""
+    return "passes", True, "stub"
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("check", verification.ALL_CHECKS, ids=lambda fn: fn.__name__)
     def test_builtin_check_passes(self, check):
@@ -564,7 +573,7 @@ class TestCheckCommand:
             return np.sign(x) * np.maximum(np.abs(x) - self.lam, 0.0)
 
         monkeypatch.setattr(L1Penalty, "prox", bad_prox)
-        assert any(not ok for _, ok, _ in verification.run_all())
+        assert not verification.check_prox_properties()[1]
 
     def test_detects_query_miscount(self, monkeypatch):
         from composolve.oracle import QueryCounter
@@ -576,7 +585,7 @@ class TestCheckCommand:
                  outer_gradient)
 
         monkeypatch.setattr(QueryCounter, "add", off_by_one)
-        assert any(not ok for _, ok, _ in verification.run_all())
+        assert not verification.check_query_exactness()[1]
 
     def test_detects_doubled_jacobian_batch_charge(self, monkeypatch):
         from composolve.oracle import CountedCompositionProblem
@@ -594,8 +603,7 @@ class TestCheckCommand:
         def raises():
             raise ValueError("shapes (3,) and (4,4) not aligned")
 
-        monkeypatch.setattr(verification, "ALL_CHECKS", (
-            verification.check_mdp_generation, raises, verification.check_prox_properties))
+        monkeypatch.setattr(verification, "ALL_CHECKS", (passes, raises, passes))
         assert cli.main(["check"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("]")[0] for line in lines[:3]] == ["[PASS", "[FAIL", "[PASS"]
@@ -616,5 +624,16 @@ class TestMainEntry:
         assert cli.main(["plot", *csvs, "--out", str(svg)]) == 0
         assert svg.exists()
 
-    def test_check_exit_code(self):
+    def test_check_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(verification, "ALL_CHECKS", (passes, passes))
         assert cli.main(["check"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2/2 checks passed"
+
+    def test_module_form_prints_usage(self):
+        # python -m composolve runs the console script's main, from the
+        # package these tests import
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        res = subprocess.run([sys.executable, "-m", "composolve", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: composolve ")

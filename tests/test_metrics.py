@@ -24,6 +24,7 @@ from composolve.problems import (
     PolicyEvalProblem,
     PortfolioProblem,
     gen_gaussian_rewards,
+    gen_lasso,
     gen_linquad,
     gen_mdp,
 )
@@ -103,23 +104,9 @@ class TestCompositeGradSq:
             float(g @ g), rel=1e-12
         )
 
-    def test_vanishes_at_regularized_optimum(self):
-        prob = linquad()
-        reg = L1Penalty(1e-2)
-        ref = prox_full_gradient(prob, reg, 0.1, 300_000, tol=1e-15, trace_stride=10**9)
-        assert composite_grad_sq(prob, reg, ref.x_final) <= 1e-12
-
     def test_one_dim_clamp_at_origin(self):
         prob = one_dim_quadratic()
         assert composite_grad_sq(prob, L1Penalty(1.0), np.array([0.0])) == 0.0
-
-    def test_positive_away_from_optimum(self):
-        prob = linquad()
-        reg = L1Penalty(1e-2)
-        rng = RngStream(7)
-        for _ in range(20):
-            x = prob.unregularized_optimum() + rng.normal(size=prob.dim_x)
-            assert composite_grad_sq(prob, reg, x) > 1e-6
 
 
 class TestVerifyOptimum:
@@ -222,15 +209,21 @@ class TestTraceRecorder:
         rec.flush()
         assert math.isnan(rec.rows[0].gap)
 
-    def test_diagnostics_do_not_touch_counter(self):
-        prob = linquad()
+    @pytest.mark.parametrize("reg", [ZeroPenalty(), L1Penalty(1e-3)], ids=["zero", "l1"])
+    @pytest.mark.parametrize("make", [linquad, lambda: gen_lasso(12, 4, RngStream(4))],
+                             ids=["linquad", "lasso"])
+    def test_diagnostics_do_not_touch_counter(self, make, reg):
+        # at stride 1, as solvers record by default: a forced row alone, then a
+        # block of five in one stacked pass
+        prob = make()
         _, counter = counted(prob)
-        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, counter,
-                            x_star=prob.unregularized_optimum())
-        before = counter.total
-        rec.record(0, 0, np.ones(prob.dim_x))
+        rec = TraceRecorder(prob, reg, 0.1, counter, x_star=np.ones(prob.dim_x))
+        rng = RngStream(13)
+        rec.record(0, 0, np.ones(prob.dim_x), force=True)
+        for t in range(1, 6):
+            rec.record(0, t, rng.normal(size=prob.dim_x))
         rec.flush()
-        assert len(rec.rows) == 1 and counter.total == before
+        assert len(rec.rows) == 6 and counter.total == 0
 
     @pytest.mark.parametrize("make", [
         lambda: PortfolioProblem(gen_gaussian_rewards(30, 5, 2.0, RngStream(9))),
