@@ -104,9 +104,23 @@ class TestCompositeGradSq:
             float(g @ g), rel=1e-12
         )
 
+    def test_vanishes_at_regularized_optimum(self):
+        prob = linquad()
+        reg = L1Penalty(1e-2)
+        ref = prox_full_gradient(prob, reg, 0.1, 300_000, tol=1e-15, trace_stride=10**9)
+        assert composite_grad_sq(prob, reg, ref.x_final) <= 1e-12
+
     def test_one_dim_clamp_at_origin(self):
         prob = one_dim_quadratic()
         assert composite_grad_sq(prob, L1Penalty(1.0), np.array([0.0])) == 0.0
+
+    def test_positive_away_from_optimum(self):
+        prob = linquad()
+        reg = L1Penalty(1e-2)
+        rng = RngStream(7)
+        for _ in range(20):
+            x = prob.unregularized_optimum() + rng.normal(size=prob.dim_x)
+            assert composite_grad_sq(prob, reg, x) > 1e-6
 
 
 class TestVerifyOptimum:

@@ -129,6 +129,16 @@ class TestFullBatchOperations:
             assert np.allclose(dense_mean_jacobian(prob, x), generic,
                                rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("maker", [small_portfolio, small_policy_eval, small_linquad])
+    def test_full_gradient_matches_finite_differences(self, maker):
+        prob = maker()
+        rng = RngStream(15)
+        for _ in range(5):
+            x = rng.normal(size=prob.dim_x)
+            g = prob.full_gradient(x)
+            fd = central_difference_gradient(prob.objective_f, x)
+            assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
     def test_linquad_gradient_closed_form(self):
         prob = small_linquad()
         x = RngStream(16).normal(size=prob.dim_x)
@@ -275,6 +285,16 @@ class TestPortfolioEmbedding:
         x = np.array([0.3, -0.7])
         assert prob.objective_f(x) == pytest.approx(prob.direct_objective(x), abs=1e-12)
 
+    def test_embedding_fidelity_random_points(self):
+        prob = small_portfolio()
+        rng = RngStream(20)
+        for _ in range(50):
+            x = rng.normal(size=prob.dim_x)
+            direct = prob.direct_objective(x)
+            assert prob.objective_f(x) == pytest.approx(
+                direct, rel=1e-10, abs=1e-10
+            )
+
     def test_full_scale_instantiates(self):
         rewards = gen_gaussian_rewards(2000, 200, 2.0, RngStream(0))
         prob = PortfolioProblem(rewards)
@@ -292,7 +312,23 @@ def desk_portfolio():
 
 
 class TestPortfolioClosedForms:
-    """The `vrsc_pg` step in closed form at the snapshot."""
+    """The `vrsc_pg` step in closed form against the generic default."""
+
+    @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
+                             ids=["small", "desk"])
+    @pytest.mark.parametrize("idx", [[5], [3, 0, 3, 5, 3]])  # repeats included
+    def test_match_the_generic_defaults(self, maker, idx):
+        # the minibatch means sum in another order than the default: within 1e-13
+        prob, idx = maker(), np.array(idx)
+        rng = RngStream(26)
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            snap = compute_snapshot(prob, x_tilde)
+            args = (snap, idx, idx[::-1][:3], idx + 1, x)
+            got = prob.variance_reduced_step(*args)
+            want = CompositionProblem.variance_reduced_step(prob, *args)
+            assert got.shape == (prob.dim_x,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("maker", [small_portfolio, desk_portfolio],
                              ids=["small", "desk"])
@@ -333,6 +369,20 @@ class TestPolicyEvalLayout:
             x = rng.normal(size=prob.dim_x)
             assert np.array_equal(prob.inner_value_batch(js, x),
                                   column_gather_inner_value(prob, js, x))
+
+    @pytest.mark.parametrize("js", [[5], [3, 0, 3, 5, 3]])
+    def test_inner_value_diff_mean_near_generic(self, js):
+        # the step's inner-value difference reads no R and sums in another
+        # order: within 1e-13
+        prob = PolicyEvalProblem(*gen_mdp(400, 3, RngStream(3)), 0.95)
+        js = np.array(js)
+        rng = RngStream(23)
+        for _ in range(5):
+            x_tilde, x = rng.normal(size=prob.dim_x), rng.normal(size=prob.dim_x)
+            args = (compute_snapshot(prob, x_tilde), js, js, js[::-1], x)
+            want = CompositionProblem.variance_reduced_step(prob, *args)
+            got = prob.variance_reduced_step(*args)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_serialized_fields_are_the_inputs(self):
         p, r = gen_mdp(7, 3, RngStream(4))
@@ -575,6 +625,15 @@ class TestPolicyEvalEmbedding:
         direct = float(((v - bellman) ** 2).mean())
         assert prob.objective_f(v) == pytest.approx(direct, abs=1e-12)
 
+    def test_embedding_fidelity_random_points(self):
+        prob = small_policy_eval()
+        rng = RngStream(21)
+        for _ in range(50):
+            v = rng.normal(size=prob.dim_x)
+            assert prob.objective_f(v) == pytest.approx(
+                prob.direct_objective(v), rel=1e-10, abs=1e-12
+            )
+
     def test_inner_jacobian_batch_matches_per_index_loop(self):
         prob = small_policy_eval()
         s = prob.n_states
@@ -643,6 +702,18 @@ class TestLasso:
         prob = gen_lasso(20, 5, RngStream(7))
         vals = prob.comp_value_batch(np.arange(prob.n), np.zeros(5))
         assert np.allclose(vals, 0.5 * prob.targets**2)
+
+    def test_gradient_matches_finite_differences(self):
+        prob = gen_lasso(15, 4, RngStream(8))
+        x = RngStream(9).normal(size=4)
+        for i in range(5):
+            idx = np.array([i])
+            fd = central_difference_gradient(
+                lambda t: float(prob.comp_value_batch(idx, t)[0]), x
+            )
+            assert np.allclose(fd, prob.comp_gradient_batch(idx, x)[0], atol=1e-6)
+        fd = central_difference_gradient(prob.objective_f, x)
+        assert np.allclose(fd, prob.full_gradient(x), atol=1e-6)
 
     def test_full_gradient_zero_at_least_squares(self):
         prob = gen_lasso(30, 5, RngStream(10))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from composolve.numerics import RngStream
+from composolve.numerics import RngStream, l2_norm_sq
 from composolve.regularizers import L1Penalty, ZeroPenalty, make_regularizer
 
 
@@ -87,6 +87,29 @@ class TestProx:
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
             L1Penalty(1.0).prox(np.array([1.0]), 0.0)
+
+    def test_nonexpansive(self):
+        rng = RngStream(2)
+        reg = L1Penalty(0.7)
+        for _ in range(1000):
+            a = rng.normal(size=4)
+            b = rng.normal(size=4)
+            eta = 0.01 + 3 * rng.uniform()
+            lhs = np.linalg.norm(reg.prox(a, eta) - reg.prox(b, eta))
+            assert lhs <= np.linalg.norm(a - b) + 1e-12
+
+    def test_prox_beats_perturbed_candidates(self):
+        rng = RngStream(3)
+        reg = L1Penalty(0.4)
+        for _ in range(50):
+            x = rng.normal(size=5)
+            eta = 0.1 + rng.uniform()
+            p = reg.prox(x, eta)
+            best = reg.value(p) + l2_norm_sq(p - x) / (2 * eta)
+            for _ in range(100):
+                cand = p + 0.3 * rng.normal(size=5)
+                val = reg.value(cand) + l2_norm_sq(cand - x) / (2 * eta)
+                assert val >= best - 1e-12
 
 
 class TestMinNormSubgradient:

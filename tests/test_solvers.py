@@ -126,6 +126,13 @@ class TanhInnerProblem(CompositionProblem):
 
 
 class TestEstimators:
+    def test_inner_value_cancels_at_snapshot(self):
+        prob = linquad()
+        x = RngStream(3).normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x)
+        idx = sample_with_replacement(RngStream(4), prob.n2, 5)
+        assert np.array_equal(estimate_inner_value(snap, prob, x, idx), snap.G_s)
+
     def test_inner_value_single_index_formula(self):
         prob = linquad()
         rng = RngStream(5)
@@ -202,6 +209,40 @@ class TestEstimators:
         snap = compute_snapshot(prob, x)
         with pytest.raises(ValueError, match="dense J_s"):
             estimate_inner_jacobian(snap, prob, x, np.array([0, 1]))
+
+    def test_inner_jacobian_empirically_unbiased(self):
+        # tanh inner maps: their Jacobians depend on x, so the estimate has
+        # variance in every entry, where an affine class's has none
+        prob = TanhInnerProblem()
+        rng = RngStream(11)
+        x_tilde = rng.normal(size=prob.dim_x)
+        x = rng.normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x_tilde)
+        truth = prob.full_inner_jacobian(x)
+        n_rep, size = 5_000, 2
+        acc = np.zeros((prob.dim_y, prob.dim_x))
+        acc_sq = np.zeros_like(acc)
+        for _ in range(n_rep):
+            est = estimate_inner_jacobian(
+                snap, prob, x, sample_with_replacement(rng, prob.n2, size)
+            )
+            acc += est
+            acc_sq += est * est
+        mean = acc / n_rep
+        se = np.sqrt(np.maximum(acc_sq / n_rep - mean**2, 0.0) / n_rep)
+        assert np.all(se > 0)
+        assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
+
+    def test_gradient_estimate_cancels_at_snapshot(self):
+        prob = policy_eval()
+        x = RngStream(12).normal(size=prob.dim_x)
+        snap = compute_snapshot(prob, x)
+        for trial in range(5):
+            rng = RngStream(trial)
+            b = sample_with_replacement(rng, prob.n2, 3)
+            i = sample_with_replacement(rng, prob.n1, 4)
+            v = estimate_gradient_vt(snap, prob, x, snap.G_s, b, i)
+            assert np.array_equal(v, snap.grad_f_s)
 
     def test_gradient_estimate_full_batch_exact(self):
         prob = linquad()
@@ -371,6 +412,22 @@ class TestVrscPg:
         cfg = VrscpgConfig(eta=0.05, m=5, S_epochs=5, A=4, B=4, b1=4, seed=0)
         res = vrsc_pg(prob, ZeroPenalty(), cfg, x0=x_star)
         assert np.linalg.norm(res.x_final - x_star) <= 1e-10
+
+    @pytest.mark.parametrize("batches", ["full", "single"])
+    def test_full_batch_matches_prox_gradient_stepwise(self, batches):
+        # m = 1 takes every step at its own snapshot, where the estimates
+        # equal the full-batch values exactly, whatever the batch sizes
+        prob = linquad()
+        reg = L1Penalty(1e-3)
+        eta = 0.08
+        a, b, b1 = (prob.n2, prob.n2, prob.n1) if batches == "full" else (1, 1, 1)
+        cfg = VrscpgConfig(eta=eta, m=1, S_epochs=25, A=a, B=b, b1=b1, seed=0)
+        res = vrsc_pg(prob, reg, cfg)
+        ref = prox_full_gradient(prob, reg, eta, 25)
+        assert len(res.trace) == len(ref.trace)
+        for mine, theirs in zip(res.trace, ref.trace):
+            assert abs(mine.objective - theirs.objective) <= 1e-12
+        assert np.array_equal(res.x_final, ref.x_final)
 
     def test_converges_on_portfolio_settings(self):
         prob = PortfolioProblem(gen_gaussian_rewards(60, 10, 2.0, RngStream(16)))
@@ -944,6 +1001,13 @@ class TestGradientMapping:
         x = RngStream(27).normal(size=prob.dim_x)
         gm = gradient_mapping(prob, ZeroPenalty(), x, 0.3)
         assert np.allclose(gm, prob.full_gradient(x), atol=1e-14)
+
+    def test_vanishes_at_regularized_optimum(self):
+        prob = linquad()
+        reg = L1Penalty(1e-2)
+        ref = prox_full_gradient(prob, reg, 0.1, 200_000, tol=1e-14, trace_stride=10**9)
+        gm = gradient_mapping(prob, reg, ref.x_final, 0.1)
+        assert np.linalg.norm(gm) <= 1e-7
 
     def test_one_dimensional_hand_case(self):
         from composolve.problems import LinQuadProblem
