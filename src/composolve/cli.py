@@ -1,6 +1,5 @@
 """Config-driven experiment runner: gen, run, plot, check subcommands."""
 
-import argparse
 import json
 import sys
 import warnings
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, problems, solvers, verification
+from . import __version__, problems, solvers
 from .metrics import CSV_COLUMNS, verify_optimum
 from .numerics import RngStream, check_int, check_real
 from .regularizers import make_regularizer
@@ -402,6 +401,8 @@ def cmd_plot(csv_paths, out_path, x_axis="queries", y_field="gap"):
 
 
 def cmd_check():
+    from . import verification  # here, so that no other command compiles it
+
     results = verification.run_all()
     failures = 0
     for name, ok, detail in results:
@@ -421,6 +422,8 @@ def _output_dir(config, out):
 
 
 def main(argv=None):
+    import argparse  # here, so that importing this module for its functions skips it
+
     parser = argparse.ArgumentParser(
         prog="composolve",
         description="Variance-reduced compositional proximal optimization bench",

@@ -596,7 +596,7 @@ class LinQuadProblem(CompositionProblem):
         hess = self.hessian()
         eigs = np.linalg.eigvalsh(hess)
         mu = float(eigs[0])
-        q_norms = np.array([np.linalg.norm(q, 2) for q in self.q_mats])
+        q_norms = np.linalg.norm(self.q_mats, 2, axis=(1, 2))
         qbar_norm = np.linalg.norm(self.q_bar, 2)
         l_f = float(max(q_norms.max() * qbar_norm, eigs[-1]))
         b_g = float(q_norms.max())

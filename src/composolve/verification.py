@@ -229,7 +229,8 @@ def check_counting_transparency():
         y, u = rng.normal(size=prob.dim_y), rng.normal(size=prob.dim_y)
         snap = solvers.compute_snapshot(prob, x_tilde)
         table = [
-            ("variance_reduced_step", (snap, js, js[1:], is_, x), (2 * k, 2 * (k - 1), 2 * k)),
+            # |A| = 4, |B| = 3, |I| = 2, so that each charge reads its own set
+            ("variance_reduced_step", (snap, js, js[1:], is_[:2], x), (2 * k, 2 * (k - 1), 2 * 2)),
             ("tracking_step", (js[:1], is_[1:2], x, y, 0.3), (1, 1, 1)),
             ("full_gradient", (x,), (n2, n2, n1)),
             ("full_pass", (x,), (n2, n2, n1)),

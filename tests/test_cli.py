@@ -637,3 +637,17 @@ class TestMainEntry:
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("usage: composolve ")
+
+
+class TestStartup:
+    def test_import_loads_neither_verification_nor_argparse(self):
+        # a fresh interpreter, since pytest itself has imported argparse: only
+        # `check` needs verification and only `main` needs argparse, so a
+        # process that imports the package for its functions compiles neither
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        code = ("import sys, composolve, composolve.cli; "
+                "print(sorted({'composolve.verification', 'argparse'} & set(sys.modules)))")
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

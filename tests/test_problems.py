@@ -568,6 +568,19 @@ class TestLinQuadRow:
             assert prob.objective_f(x) == CompositionProblem.objective_f(prob, x) == f
 
 
+class TestLinQuadConstants:
+    @pytest.mark.parametrize("maker", [small_linquad, bench_linquad], ids=["square", "bench"])
+    def test_batched_spectral_norms_equal_the_per_matrix_loop_bitwise(self, maker):
+        # one batched SVD call per instance; the step size 1 / L_f of the
+        # full-gradient solver must not move by a bit
+        prob = maker()
+        q_norms = np.array([np.linalg.norm(q, 2) for q in prob.q_mats])
+        c = prob.constants()
+        assert c.B_G == q_norms.max()
+        assert c.L_f == max(q_norms.max() * np.linalg.norm(prob.q_bar, 2),
+                            np.linalg.eigvalsh(prob.hessian())[-1])
+
+
 class TestPolicyEvalRow:
     @pytest.mark.parametrize("n_states", [3, 8, 400])
     def test_row_and_objective_equal_the_generic_ones_bitwise(self, n_states):
