@@ -13,8 +13,8 @@ import numpy as np
 
 from .numerics import l2_norm_sq, sample_with_replacement
 
-# A recorded row waits for its diagnostics until at most this many record
-# calls (its own included) have passed. At trace stride 1 one stacked pass
+# A recorded row waits for its diagnostics until at most this many solver
+# steps (its own included) have passed. At trace stride 1 one stacked pass
 # then serves 16 rows, each at about a quarter of the cost of a lone row on
 # the closed-form classes, and longer blocks save little more (BENCH_26.json);
 # at stride 16 and above each row is evaluated at its own call.
@@ -118,14 +118,16 @@ class TraceRecorder:
     from a full pass on the raw problem, so instrumentation never perturbs
     the query counts; the counter passed in is the solver's counted handle.
 
-    A recorded row is first kept pending: its epoch, inner iteration, wall
-    time and query triple, read when it is recorded, and a reference to its
-    iterate, which must not change in place meanwhile. Its diagnostics come
-    later, with those of every pending row, in one stacked pass
+    Every record call records a row: the caller picks the iterates, one in
+    every `stride` steps (`solvers._drive`), and the stride only sizes the
+    block. A recorded row is first kept pending: its epoch, inner iteration,
+    wall time and query triple, read when it is recorded, and a reference to
+    its iterate, which must not change in place meanwhile. Its diagnostics
+    come later, with those of every pending row, in one stacked pass
     (`objective_and_gradient` of a stack) that equals the row's own pass
     bitwise. That pass runs at the record call of the row that fills a
-    block, whose first row has then waited at most _ROW_BLOCK_STEPS record
-    calls, its own included, at every forced record, and at `flush`. The
+    block, whose first row was then recorded at most _ROW_BLOCK_STEPS - 1
+    steps before it, at every forced record, and at `flush`. The
     first pending row whose objective is not finite raises `DivergedError`
     with the rows before it, its own iterate (the object recorded), its
     query triple and, as total_queries, the live counter's total, which
@@ -138,26 +140,21 @@ class TraceRecorder:
         self.reg = reg
         self.eta = float(eta)
         self.counter = counter
-        self.stride = stride
         self.rows = []
         # without a reference optimum every gap is obj - NaN, a NaN
         self._h_star = math.nan if x_star is None else objective_H(problem, reg, x_star)
         self._t0 = time.perf_counter()
-        self._seen = 0
         # rows per block: the first row of a full block was recorded
-        # (block - 1) * stride calls before the last
+        # (block - 1) * stride steps before the last
         self._block = (_ROW_BLOCK_STEPS - 1) // stride + 1
         self._pending = []  # (epoch, inner_iter, wall_ms, query triple, x)
         self._newest = None  # ((epoch, inner_iter), x) of the last row recorded
 
     def record(self, epoch, inner_iter, x, force=False):
-        """Record x as a row if this is the first of every stride calls, or if
-        force; a forced record evaluates every pending row, and adds no row
-        when (epoch, inner_iter, x) is the newest row already, x the same
-        object. wall_ms is read here, before the row's diagnostics run."""
-        self._seen += 1
-        if not force and (self._seen - 1) % self.stride != 0:
-            return
+        """Record x as a row; a forced record evaluates every pending row, and
+        adds no row when (epoch, inner_iter, x) is the newest row already, x
+        the same object. wall_ms is read here, before the row's diagnostics
+        run."""
         at = (int(epoch), int(inner_iter))
         if force and self._newest is not None and self._newest[1] is x and self._newest[0] == at:
             self.flush()

@@ -108,13 +108,13 @@ class CountedCompositionProblem(CompositionProblem):
         counter.outer_gradient_queries += 2 * len(i_idx)
         return v
 
-    def tracking_step(self, js, is_, x, y, beta):
-        y, v = self._problem.tracking_step(js, is_, x, y, beta)
+    def tracking_step(self, js, is_, x, y, beta, alpha):
+        y, u = self._problem.tracking_step(js, is_, x, y, beta, alpha)
         counter, k = self.counter, len(js)
         counter.inner_value_queries += k
         counter.inner_jacobian_queries += k
         counter.outer_gradient_queries += len(is_)
-        return y, v
+        return y, u
 
 
 class CountedFiniteSumProblem(CountedCompositionProblem):

@@ -12,8 +12,8 @@ outer values and outer gradients. Every other operation has a generic
 default built from them, which a subclass may override with a closed form
 (the shipped classes do):
 
-- `inner_vjp_batch(js, x, u)`: the stacked J_j(x)^T u that the solvers use
-  in place of dense Jacobians; only the lasso's identity map overrides it;
+- `inner_vjp_batch(js, x, u)`: the stacked J_j(x)^T u that the generic
+  steps use in place of dense Jacobians; no shipped class overrides it;
 - `full_inner_value(x)`, `full_inner_jacobian(x)` and
   `mean_outer_gradient(y)`: the full-batch means of the three query kinds;
 - `mean_inner_vjp(jac, v)`: jac^T v for whatever `full_inner_jacobian`
@@ -24,8 +24,11 @@ default built from them, which a subclass may override with a closed form
   linquad form its correction J_s^T (u - u_s) as one difference, and a
   finite sum as the one `comp_gradient_diff_mean` of Proximal SVRG's step,
   which the lasso gives in closed form;
-- `tracking_step(js, is_, x, y, beta)`: the inner-value average and the
-  gradient estimate of one two-timescale step, at one index each;
+- `tracking_step(js, is_, x, y, beta, alpha)`: one two-timescale step at
+  one index each: the inner-value average y_new and the point x - alpha v,
+  with v the gradient estimate, which the solver hands to the prox, so that
+  a class need not form a sparse v densely; the portfolio, policy
+  evaluation and the lasso give it in closed form;
 - `objective_and_gradient(x)`: f(x) and grad f(x) for trace rows, at one point
   or at a stack of them (a block of rows); its generic default is one full
   pass and the n1 outer values at its G(x), a row at a time. The closed forms
@@ -186,12 +189,13 @@ class CompositionProblem:
         g_hat = solvers.estimate_inner_value(snap, self, x, a_idx)
         return solvers.estimate_gradient_vt(snap, self, x, g_hat, b_idx, i_idx)
 
-    def tracking_step(self, js, is_, x, y, beta):
-        """(y_new, v) with y_new = (1 - beta) y + beta G_j(x) and
+    def tracking_step(self, js, is_, x, y, beta, alpha):
+        """(y_new, x - alpha v) with y_new = (1 - beta) y + beta G_j(x) and
         v = J_j(x)^T grad F_i(y_new), for js and is_ of one index each; one
-        query of each kind."""
+        query of each kind. The point is a fresh array."""
         y = (1.0 - beta) * y + beta * self.inner_value_batch(js, x)[0]
-        return y, self.inner_vjp_batch(js, x, self.outer_gradient_batch(is_, y)[0])[0]
+        v = self.inner_vjp_batch(js, x, self.outer_gradient_batch(is_, y)[0])[0]
+        return y, x - alpha * v
 
     def full_pass(self, x):
         """(G(x), mean inner Jacobian, grad f(x)); costs n2 + n2 + n1 queries.
@@ -321,7 +325,7 @@ class PortfolioProblem(CompositionProblem):
         dt *= -2.0 / len(nonempty(i_idx))
         return dt.dot(r - snap.J_s) + snap.grad_f_s
 
-    def tracking_step(self, js, is_, x, y, beta):
+    def tracking_step(self, js, is_, x, y, beta, alpha):
         # y_new = (1 - beta) y + beta (x, r_j.x), and v = (t - 1) r_i - t r_j
         # with t = 2 (r_i.w - z) at y_new = (w, z), from the rows r_j and r_i
         # read in place, with no (1, N+1) stack. w is updated through one
@@ -335,7 +339,7 @@ class PortfolioProblem(CompositionProblem):
         z = float(y[n]) + beta * float(r_j.dot(x))
         y[n] = z
         t = 2.0 * (float(r_i.dot(w)) - z)
-        return y, (t - 1.0) * r_i + (-t) * r_j
+        return y, x - alpha * ((t - 1.0) * r_i + (-t) * r_j)
 
     def objective_and_gradient(self, x):
         # d = R w is formed once, for the outer values and for the mean outer
@@ -442,23 +446,30 @@ class PolicyEvalProblem(CompositionProblem):
         return (np.bincount(i_idx, w, minlength=s)
                 - self.gamma * w.dot(snap.J_s.take(i_idx, axis=0)) + snap.grad_f_s)
 
-    def tracking_step(self, js, is_, x, y, beta):
+    def tracking_step(self, js, is_, x, y, beta, alpha):
         # y_new = (1 - beta) y + beta (x, S P[:, j] (R[:, j] + gamma x_j)), and
         # v = J_j^T grad F_i(y_new) has two nonzeros: g = 2 (w_i - t_i) at i,
-        # plus (gamma S P[i, j]) (-g) at j, rounded as the dense default rounds
-        # it, bitwise where j != i (added to g where j = i); from the rows of
-        # S P^T and R^T and the entry P[i, j] read in place, with no (1, 2S)
-        # stack, at int indices, which numpy reads faster than its own integers
+        # plus c = (gamma S P[i, j]) (-g) at j, rounded as the dense default
+        # rounds it, bitwise where j != i (added to g where j = i); from the
+        # rows of S P^T and R^T and the entry P[i, j] read in place, with no
+        # (1, 2S) stack, at int indices, which numpy reads faster than its own
+        # integers. x - alpha v is x but at i and j, each entry as the dense
+        # product rounds it: at j, 0.0 + c, the sum of c with v's zero, keeps a
+        # c of -0.0 from flipping the sign of a zero x_j
         s = self.n_states
         j, i = int(js[0]), int(is_[0])
         y = (1.0 - beta) * y
         y[:s] += beta * x
         y[s:] += beta * (self._spt[j] * (self._rt[j] + self.gamma * x[j]))
         g = 2.0 * (y[i] - y[s + i])
-        v = np.zeros(s)
-        v[i] = g
-        v[j] += (self.gamma * s * self.transition[i, j]) * -g
-        return y, v
+        c = (self.gamma * s * self.transition[i, j]) * -g
+        u = x.copy()
+        if j == i:
+            u[i] = x[i] - alpha * (g + c)
+        else:
+            u[i] = x[i] - alpha * g
+            u[j] = x[j] - alpha * (0.0 + c)
+        return y, u
 
     def full_inner_value(self, x):
         x = self._check_x(x)
@@ -635,11 +646,6 @@ class FiniteSumProblem(CompositionProblem):
     def inner_jacobian_batch(self, js, x):
         return np.tile(np.eye(self.dim_x), (len(js), 1, 1))
 
-    def inner_vjp_batch(self, js, x, u):
-        # u once per index, with no (k, N, N) identity stack; the paired
-        # difference of two such stacks, the Jacobian correction, is exactly zero
-        return np.tile(u, (len(js), 1))
-
     def outer_value_batch(self, is_, y):
         return self.comp_value_batch(is_, y)
 
@@ -688,6 +694,17 @@ class LassoProblem(FiniteSumProblem):
     def comp_gradient_batch(self, is_, x):
         r = self.design[is_] @ x - self.targets[is_]
         return r[:, None] * self.design[is_]
+
+    def tracking_step(self, js, is_, x, y, beta, alpha):
+        # G_j(x) = x and J_j^T u = u, so y_new = (1 - beta) y + beta x and v is
+        # grad f_i(y_new) = a_i (<a_i, y_new> - y_i), from the design row read
+        # once, with no (1, N) value stack or (1, N, N) identity stack; the
+        # residual is the generic default's design[is_] @ y product, and the
+        # rest its element operations, so bitwise equal
+        y = (1.0 - beta) * y + beta * x
+        a = self.design[is_]
+        v = (a @ y - self.targets[is_])[0] * a[0]
+        return y, x - alpha * v
 
     def comp_gradient_diff_mean(self, is_, x_tilde, x):
         # grad f_i(x_tilde) - grad f_i(x) = a_i <a_i, d> with d = x_tilde - x:

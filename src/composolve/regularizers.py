@@ -19,9 +19,11 @@ class ZeroPenalty:
         return 0.0  # broadcasts over a stack of rows
 
     def prox(self, x, eta):
+        """x itself when it is a float64 array, which every caller passes as a
+        temporary it does not reuse; a float64 copy of anything else."""
         if eta <= 0:
             raise ValueError("prox step eta must be positive")
-        return np.array(x, dtype=np.float64)
+        return np.asarray(x, dtype=np.float64)
 
     def min_norm_subgradient(self, x, grad_f):
         x = np.asarray(x, dtype=np.float64)

@@ -20,15 +20,16 @@ whose run options (`x0`, `x_star`, `trace_stride`, `budget_queries`,
 spends a query. The query and wall-clock budgets are checked before every
 full pass and every step, and a full pass is paid only if a step can
 follow it. Each run owns its query counter. The recorder evaluates trace
-rows a block at a time (`metrics.TraceRecorder`): a row's wall time and
-queries are read when its iterate is recorded, its diagnostics up to
-_ROW_BLOCK_STEPS record calls later, and every pending row before the loop
-raises and when the run ends. A non-finite iterate, or a row (the start
-row too) whose objective the recorder finds non-finite, ends the run with
-`DivergedError`, which carries the finite rows before it, that iterate and
-its query triple: the run's, for a non-finite iterate, and the row's own
-for a row, although steps after the row may have run before its block was
-evaluated; its `total_queries` counts those steps too. numpy's overflow
+rows a block at a time (`metrics.TraceRecorder`), and the loop hands it
+only the iterates it records. A row's wall time and queries are read when
+its iterate is recorded, and its diagnostics up to _ROW_BLOCK_STEPS - 1
+steps later, before the loop raises, or when the run ends, whichever comes
+first. A non-finite iterate, or a row (the start row too) whose objective
+the recorder finds non-finite, ends the run with `DivergedError`, which
+carries the finite rows before it, that iterate and its query triple: the
+run's, for a non-finite iterate, and the row's own for a row, although
+steps after the row may have run before its block was evaluated; its
+`total_queries` counts those steps too. numpy's overflow
 warnings are silenced inside the loop, since that error reports the
 divergence.
 
@@ -196,9 +197,10 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
     that it does not change afterwards, and returns when room(cost) before a
     full pass of cost queries, or room() before a step, is false. The start
     point, every trace_stride-th iterate and the last one are recorded, so
-    that the final row describes x_final; the run ends with a forced record
-    of the last iterate, which evaluates the pending rows and adds a row only
-    if the stride skipped that iterate.
+    that the final row describes x_final: the loop calls the recorder on
+    those iterates alone, and no other step pays a call. The run ends with a
+    forced record of the last iterate, which evaluates the pending rows and
+    adds a row only if the stride skipped that iterate.
 
     Run options, which every solver takes as keywords:
         x0              start point, copied (default: zeros)
@@ -236,7 +238,8 @@ def _drive(problem, reg, eta, steps, x0=None, x_star=None, trace_stride=1,
                 raise DivergedError("solver produced a non-finite iterate", rec.rows, x,
                                     counter.snapshot(), counter.total)
             iters += 1
-            rec.record(epoch, inner_iter, x)
+            if iters % trace_stride == 0:
+                rec.record(epoch, inner_iter, x)
         # the last iterate: a new row if it fell between strides, and in any
         # case the evaluation of every pending row
         rec.record(epoch, inner_iter, x, force=True)
@@ -282,10 +285,13 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
 
     Tracks the inner value with the auxiliary average
     y_{t+1} = (1 - beta_t) y_t + beta_t G_j(x_t) and takes decaying-step
-    proximal updates along J_j(x_t)^T grad F_i(y_{t+1}), both from one
-    `tracking_step` call; 3 oracle queries per iteration. Steps decay as
-    alpha_t = alpha0 / (1+t)^exp_alpha and beta_t = beta0 / (1+t)^exp_beta.
-    `run`: the run options of `_drive`.
+    proximal updates x_{t+1} = prox(x_t - alpha_t v_t, alpha_t) along
+    v_t = J_j(x_t)^T grad F_i(y_{t+1}). One
+    `tracking_step(j, i, x_t, y_t, beta_t, alpha_t)` call returns y_{t+1} and
+    the point x_t - alpha_t v_t, which goes to the prox as it is, so that a
+    class whose v_t is sparse need not form it densely; 3 oracle queries per
+    iteration. Steps decay as alpha_t = alpha0 / (1+t)^exp_alpha and
+    beta_t = beta0 / (1+t)^exp_beta. `run`: the run options of `_drive`.
     """
     check_real("alpha0", alpha0, 0, open_low=True)
     check_real("beta0", beta0, 0, open_low=True)
@@ -302,8 +308,8 @@ def scpg_baseline(problem, reg, alpha0, beta0, exp_alpha, exp_beta, iters, seed,
             alpha_t = alpha0 / (1.0 + t) ** exp_alpha
             beta_t = min(beta0 / (1.0 + t) ** exp_beta, 1.0)
             j, i = next(draws)
-            y, v = cp.tracking_step(j, i, x, y, beta_t)
-            x = reg.prox(x - alpha_t * v, alpha_t)
+            y, x = cp.tracking_step(j, i, x, y, beta_t, alpha_t)
+            x = reg.prox(x, alpha_t)
             yield 0, t + 1, x
 
     return _drive(problem, reg, alpha0, steps, **run)

@@ -231,7 +231,7 @@ def check_counting_transparency():
         table = [
             # |A| = 4, |B| = 3, |I| = 2, so that each charge reads its own set
             ("variance_reduced_step", (snap, js, js[1:], is_[:2], x), (2 * k, 2 * (k - 1), 2 * 2)),
-            ("tracking_step", (js[:1], is_[1:2], x, y, 0.3), (1, 1, 1)),
+            ("tracking_step", (js[:1], is_[1:2], x, y, 0.3, 0.7), (1, 1, 1)),
             ("full_gradient", (x,), (n2, n2, n1)),
             ("full_pass", (x,), (n2, n2, n1)),
             ("objective_and_gradient", (x,), (n2, n2, n1)),
@@ -266,9 +266,10 @@ def check_closed_forms_match_generic():
     variance-reduced step at x != x_tilde, whose A, B and I differ, and the
     two-timescale step with both terms of its average nonzero, at j != i and
     at j = i (where policy evaluation's v puts both of its terms on one
-    entry). The mean Jacobian, the class's own operator data, is applied by
-    its `mean_inner_vjp` to a dense v, to a v with two nonzeros per half and
-    to every unit vector, against the dense mean. The lasso's paired
+    entry), whose parts are y_new and the point x - alpha v. The mean
+    Jacobian, the class's own operator data, is applied by its
+    `mean_inner_vjp` to a dense v, to a v with two nonzeros per half and to
+    every unit vector, against the dense mean. The lasso's paired
     difference of component gradients is held to the finite sum's default."""
     rng = RngStream(20)
     is_ = np.array([1, 0, 1, 2])  # repeated indices included
@@ -298,10 +299,9 @@ def check_closed_forms_match_generic():
         sparse[rng.integers(half, size=2)] = rng.normal(size=2)
         sparse[half + rng.integers(prob.dim_y - half, size=2)] = rng.normal(size=2)
         for name, args in (("full_inner_value", (x,)), ("mean_outer_gradient", (y,)),
-                           ("inner_vjp_batch", (js, x, u)),
                            ("variance_reduced_step", (snap, js, js[1:], is_ + 1, x)),
-                           ("tracking_step", (js[3:], is_[1:2], x, y, 0.3)),
-                           ("tracking_step", (js[:1], is_[2:3], x, y, 0.3)),
+                           ("tracking_step", (js[3:], is_[1:2], x, y, 0.3, 0.7)),
+                           ("tracking_step", (js[:1], is_[2:3], x, y, 0.3, 0.7)),
                            ("objective_and_gradient", (x,))):
             if getattr(type(prob), name) is getattr(base, name):
                 continue  # no override: the default would meet itself

@@ -102,14 +102,17 @@ class ExactProblem:
         return (mean(self.value(i, g) for i in range(self.n1)),
                 self._mean_vjp(self.mean_outer_gradient(g)))
 
-    def tracking_step(self, js, is_, x, y, beta):
-        """(y_new, J_j(x)^T grad F_i(y_new)) with y_new = (1 - beta) y + beta G_j(x)."""
+    def tracking_step(self, js, is_, x, y, beta, alpha):
+        """(y_new, x - alpha J_j(x)^T grad F_i(y_new)) with
+        y_new = (1 - beta) y + beta G_j(x)."""
         y_new = (1 - Fraction(beta)) * exact(y) + Fraction(beta) * self.inner(js[0], exact(x))
-        return y_new, self.tracking_gradient(js, is_, x, y_new)
+        return y_new, self.tracking_point(js, is_, x, y_new, alpha)
 
-    def tracking_gradient(self, js, is_, x, y_new):
-        """A tracking step's v, J_j(x)^T grad F_i(y_new), at any given y_new."""
-        return self.vjp(js[0], exact(x), self.grad(is_[0], exact(y_new)))
+    def tracking_point(self, js, is_, x, y_new, alpha):
+        """A tracking step's point x - alpha v, v = J_j(x)^T grad F_i(y_new), at
+        any given y_new."""
+        x = exact(x)
+        return x - Fraction(alpha) * self.vjp(js[0], x, self.grad(is_[0], exact(y_new)))
 
     def variance_reduced_step(self, snap, a_idx, b_idx, i_idx, x):
         """J_s^T (u - u_s) - mean_B (J_b(x_tilde) - J_b(x))^T u + grad f(x_tilde),

@@ -6,7 +6,6 @@ import pytest
 
 from composolve import metrics
 from composolve.metrics import (
-    _ROW_BLOCK_STEPS,
     CSV_COLUMNS,
     DivergedError,
     TraceRecord,
@@ -184,25 +183,6 @@ class TestTraceRecord:
 
 
 class TestTraceRecorder:
-    def test_stride_skips_interior_iterations(self):
-        prob = linquad()
-        _, counter = counted(prob)
-        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, counter, stride=3)
-        x = np.zeros(prob.dim_x)
-        for t in range(7):
-            rec.record(0, t, x)
-        rec.flush()
-        assert [r.inner_iter for r in rec.rows] == [0, 3, 6]
-
-    def test_force_overrides_stride(self):
-        prob = linquad()
-        _, counter = counted(prob)
-        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, counter, stride=100)
-        x = np.zeros(prob.dim_x)
-        rec.record(0, 0, x)
-        rec.record(0, 1, x, force=True)
-        assert len(rec.rows) == 2
-
     def test_non_finite_objective_raises_and_appends_nothing(self):
         prob = linquad()
         _, counter = counted(prob)
@@ -295,31 +275,6 @@ class TestTraceRecorder:
             rec.record(0, t, np.full(prob.dim_x, float(t)), force=t == 3)
         assert [r.wall_ms for r in rec.rows] == [1000.0, 2000.0, 3000.0]
         assert clock[0] == 103.0  # one stacked pass for the three rows
-
-    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 15, 16, 40])
-    def test_a_row_waits_at_most_the_block_bound(self, stride, monkeypatch):
-        # a block holds as many rows as the bound lets its first row wait for:
-        # at stride 1 _ROW_BLOCK_STEPS rows, and from that stride on one row,
-        # evaluated at its own record call
-        prob = linquad()
-        rec = TraceRecorder(prob, ZeroPenalty(), 0.1, QueryCounter(), stride=stride)
-        call, blocks = [0], []  # (call of the evaluation, rows in its block)
-        objective_and_gradient = prob.objective_and_gradient
-        monkeypatch.setattr(prob, "objective_and_gradient", lambda x: blocks.append(
-            (call[0], len(np.atleast_2d(x)))) or objective_and_gradient(x))
-        for t in range(200):
-            call[0] = t
-            rec.record(0, t, RngStream(t).normal(size=prob.dim_x))
-        recorded, waits = list(range(0, 200, stride)), []
-        for at, k in blocks:
-            waits += [at - c for c in recorded[len(waits):len(waits) + k]]
-        assert all((k - 1) * stride < _ROW_BLOCK_STEPS <= k * stride for _, k in blocks)
-        assert max(waits) <= _ROW_BLOCK_STEPS - 1 and min(waits) == 0
-        assert len(rec.rows) == len(waits) and len(recorded) - len(waits) < blocks[0][1]
-        if stride == 1:
-            assert blocks[0][1] == _ROW_BLOCK_STEPS
-        if stride >= _ROW_BLOCK_STEPS:
-            assert max(waits) == 0
 
     def test_forced_newest_row_is_not_recorded_twice(self):
         prob = linquad()

@@ -62,7 +62,7 @@ class TestCounter:
         cp, counter = counted(prob)
         with pytest.raises(IndexError):
             cp.tracking_step(np.array([], dtype=np.int64), np.array([0]),
-                             np.zeros(prob.dim_x), np.zeros(prob.dim_y), 0.5)
+                             np.zeros(prob.dim_x), np.zeros(prob.dim_y), 0.5, 0.1)
         assert counter.snapshot() == (0, 0, 0)
 
     @pytest.mark.parametrize("empty", ["A", "B", "I"])
@@ -115,8 +115,8 @@ class TestCounter:
             assert tuple(b - a for a, b in zip(before, after)) == (0, len(js), 0)
             # one two-timescale step: one index each, one query of each kind
             y, j, i = rng.normal(size=problem.dim_y), js[3:], js[1:2]
-            step = cp.tracking_step(j, i, x, y, 0.4)
-            assert all(map(np.array_equal, step, problem.tracking_step(j, i, x, y, 0.4)))
+            step = cp.tracking_step(j, i, x, y, 0.4, 0.2)
+            assert all(map(np.array_equal, step, problem.tracking_step(j, i, x, y, 0.4, 0.2)))
             assert tuple(b - a for a, b in zip(after, counter.snapshot())) == (1, 1, 1)
 
 

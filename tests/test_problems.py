@@ -215,11 +215,9 @@ class TestOwnedData:
         assert held == 8 * (3 * s * s + s)
 
 
-# every closed-form transpose-Jacobian product: a nonlinear inner map's, and
-# the identity's, u once per index
+# the closed-form transpose-Jacobian product of a nonlinear inner map
 VJP_PROBLEMS = {
     "tanh_inner": TanhInnerProblem,
-    "lasso": lambda: gen_lasso(10, 4, RngStream(5)),
 }
 
 
@@ -509,40 +507,43 @@ class TestExactReference:
                 note_error(worst, side, handle.variance_reduced_step(*args), want)
         assert_accurate(worst, bound=bound, slack=ROUNDOFF if eps is None else 0.0)
 
-    # the classes with a closed-form scpg step: the desk's portfolio, and policy
-    # evaluation at S = 3, 8 and the benchmark's 400
+    # the classes with a closed-form scpg step: the desk's portfolio, policy
+    # evaluation at S = 3, 8 and the benchmark's 400, and the lasso
     TRACKING_PROBLEMS = {
         "portfolio_desk": desk_portfolio,
         "policy_eval_s3": partial(small_policy_eval, seed=29, n_states=3),
         "policy_eval_s8": partial(small_policy_eval, n_states=8),
         "policy_eval_s400": partial(small_policy_eval, seed=28, n_states=400),
+        "lasso": AFFINE_PROBLEMS["lasso"],
     }
     J_EQ_I_BOUND = 2e-14
 
     @pytest.mark.parametrize("kind", sorted(TRACKING_PROBLEMS))
     def test_tracking_step(self, kind):
         # 20 steps from y = 0 at fresh x, j = i on every fourth (policy
-        # evaluation's v then puts both terms on one entry). Each side's v is
-        # judged at the y_new it returned, whose rounding grad F_i can amplify.
-        # At j != i policy evaluation's closed form rounds as the dense default
-        # does, bitwise. At j = i the default's product rounds g - gamma S P[i, i] g
+        # evaluation's v then puts both terms on one entry). Each side's point
+        # x - alpha v is judged at the y_new it returned, whose rounding
+        # grad F_i can amplify. At j != i policy evaluation's closed form
+        # rounds as the dense default does, bitwise, and the lasso's does at
+        # every step. At j = i the default's product rounds g - gamma S P[i, i] g
         # otherwise at some sizes (S = 3 and 50, not 8 and 400), where the closed
-        # form was up to twice less accurate (2.7e-15 against 1.4e-15 at S = 3):
-        # the bound alone, J_EQ_I_BOUND, holds it there
+        # form's v was up to twice less accurate (2.7e-15 against 1.4e-15 at
+        # S = 3): the bound alone, J_EQ_I_BOUND, holds it there
         prob = self.TRACKING_PROBLEMS[kind]()
         ref, rng, worst = ExactProblem(prob), RngStream(30), {"j != i": {}, "j = i": {}}
         js, is_ = rng.integers(prob.n2, size=20), rng.integers(prob.n1, size=20)
         is_[::4] = js[::4]
         y = np.zeros(prob.dim_y)
         for t in range(20):
-            args = (js[t:t + 1], is_[t:t + 1], rng.normal(size=prob.dim_x), y, (1.0 + t) ** -0.5)
+            args = (js[t:t + 1], is_[t:t + 1], rng.normal(size=prob.dim_x), y,
+                    (1.0 + t) ** -0.5, 0.5 * (1.0 + t) ** -0.75)
             want = ref.tracking_step(*args)[0]
             got = {side: handle.tracking_step(*args)
                    for side, handle in (("closed", prob), ("generic", GenericDefaults(prob)))}
-            for side, (y_new, v) in got.items():
-                note_error(worst["j = i" if js[t] == is_[t] else "j != i"], side, (y_new, v),
-                           (want, ref.tracking_gradient(*args[:3], y_new)))
-            if prob.kind == "policy_eval" and js[t] != is_[t]:
+            for side, (y_new, u) in got.items():
+                note_error(worst["j = i" if js[t] == is_[t] else "j != i"], side, (y_new, u),
+                           (want, ref.tracking_point(*args[:3], y_new, args[5])))
+            if prob.kind == "lasso" or (prob.kind == "policy_eval" and js[t] != is_[t]):
                 assert all(map(np.array_equal, got["closed"], got["generic"])), t
             y = got["closed"][0]
         assert_accurate(worst["j != i"], "j != i")
@@ -550,6 +551,81 @@ class TestExactReference:
             assert worst["j = i"]["closed"] <= self.J_EQ_I_BOUND, worst
         else:
             assert_accurate(worst["j = i"], "j = i")
+
+
+def dense_tracking_v(prob, js, is_, x, y_new):
+    """v = J_j(x)^T grad F_i(y_new) of a two-timescale step as a dense vector,
+    rounded as each class's step rounded it when the hook returned v and the
+    solver formed x - alpha v: policy evaluation's two terms written into S
+    zeros, the portfolio's (t - 1) r_i - t r_j with t = 2 (r_i.w - z) at
+    y_new = (w, z), the lasso's grad f_i(y_new) (its inner map is the
+    identity), and the generic product otherwise."""
+    j, i = js[0], is_[0]
+    if isinstance(prob, PolicyEvalProblem):
+        s = prob.n_states
+        g = 2.0 * (y_new[i] - y_new[s + i])
+        v = np.zeros(s)
+        v[i] = g
+        v[j] += (prob.gamma * s * prob.transition[i, j]) * -g
+        return v
+    if isinstance(prob, PortfolioProblem):
+        n, r_i, r_j = prob.dim_x, prob.rewards[i], prob.rewards[j]
+        t = 2.0 * (float(r_i.dot(y_new[:n])) - float(y_new[n]))
+        return (t - 1.0) * r_i + (-t) * r_j
+    grad = prob.outer_gradient_batch(is_, y_new)[0]
+    if isinstance(prob, FiniteSumProblem):
+        return grad
+    return CompositionProblem.inner_vjp_batch(prob, js, x, grad)[0]
+
+
+class TestTrackingPoint:
+    """Each class's `tracking_step` returns x - alpha v bitwise, signed zeros
+    included, for v the dense vector of `dense_tracking_v`: the point the
+    solver formed from v itself."""
+
+    PROBLEMS = {
+        "portfolio_desk": desk_portfolio,
+        "policy_eval_s3": partial(small_policy_eval, seed=29, n_states=3),
+        "policy_eval_s8": partial(small_policy_eval, n_states=8),
+        "policy_eval_s400": partial(small_policy_eval, seed=28, n_states=400),
+        "linquad": partial(small_linquad, n1=7, n2=9),
+        "lasso": AFFINE_PROBLEMS["lasso"],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROBLEMS))
+    def test_point_is_x_minus_alpha_v_bitwise(self, kind):
+        # 40 steps from y = 0, j = i on every fourth where n1 = n2; a third of
+        # x's entries are +0.0 and a third -0.0, which an entry that v leaves
+        # at zero keeps
+        prob = self.PROBLEMS[kind]()
+        rng = RngStream(35)
+        js, is_ = rng.integers(prob.n2, size=40), rng.integers(prob.n1, size=40)
+        is_[::4] = js[::4] % prob.n1
+        y = np.zeros(prob.dim_y)
+        for t in range(40):
+            x = rng.normal(size=prob.dim_x)
+            x[::3], x[1::3] = 0.0, -0.0
+            x_before = x.copy()
+            alpha = 0.5 * (1.0 + t) ** -0.75
+            y, u = prob.tracking_step(js[t:t + 1], is_[t:t + 1], x, y, (1.0 + t) ** -0.5, alpha)
+            want = x - alpha * dense_tracking_v(prob, js[t:t + 1], is_[t:t + 1], x, y)
+            assert u.tobytes() == want.tobytes(), t
+            assert u is not x and x.tobytes() == x_before.tobytes()
+
+    @pytest.mark.parametrize("n_states", [3, 8, 400])
+    def test_zero_gradient_keeps_the_sign_of_a_zero_x_j(self, n_states):
+        # beta = 1 makes y_new = G_j(x), and x_i = t_i makes g = 0, so the term
+        # at j is (gamma S P[i, j]) (-0.0) = -0.0; v holds 0.0 + (-0.0) = 0.0
+        # there, and x_j = -0.0 stays -0.0
+        prob = small_policy_eval(n_states=n_states)
+        s, j, i = prob.n_states, 1, 2
+        x = np.full(s, 0.25)
+        x[j] = -0.0
+        x[i] = s * prob.transition[i, j] * (prob.reward[i, j] + prob.gamma * x[j])
+        y, u = prob.tracking_step(np.array([j]), np.array([i]), x, np.ones(2 * s), 1.0, 0.5)
+        assert y[i] == y[s + i] and np.signbit(u[j])
+        want = x - 0.5 * dense_tracking_v(prob, [j], [i], x, y)
+        assert u.tobytes() == want.tobytes()
 
 
 class TestLinQuadRow:

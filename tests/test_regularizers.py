@@ -65,11 +65,16 @@ class TestProx:
         out = ZeroPenalty().prox(np.array([7.0, -7.0]), 10.0)
         assert np.array_equal(out, [7.0, -7.0])
 
-    def test_zero_kind_returns_a_fresh_array(self):
-        x = np.array([7.0, -7.0])
-        out = ZeroPenalty().prox(x, 10.0)
+    def test_zero_kind_returns_a_float64_argument_itself(self):
+        # every caller passes a temporary, so the identity makes no copy of a
+        # float64 array; anything else comes back as a float64 copy
+        x = np.array([7.0, -0.0])
+        assert ZeroPenalty().prox(x, 10.0) is x
+        ints = [7, -7]
+        out = ZeroPenalty().prox(ints, 10.0)
+        assert out.dtype == np.float64 and np.array_equal(out, [7.0, -7.0])
         out[0] = 1.0
-        assert np.array_equal(x, [7.0, -7.0])
+        assert ints == [7, -7]
 
     def test_scalar_case_matches_1d_minimization(self):
         # imported here, so that the module's other tests run without scipy

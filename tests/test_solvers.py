@@ -15,6 +15,7 @@ from composolve.problems import (
     PortfolioProblem,
 )
 from composolve.metrics import (
+    _ROW_BLOCK_STEPS,
     TraceRecorder,
     composite_grad_sq,
     gradient_mapping,
@@ -721,16 +722,28 @@ class TestDivergence:
         assert err.value.total_queries >= sum(queries) > err.value.trace[-1].queries
 
 
-def stub_steps(iterates):
-    """A `_drive` steps generator that spends one inner-value query per step and
-    yields the given iterates in turn."""
+def stub_steps(iterates, at=None):
+    """A `_drive` steps generator that takes a step while room() allows,
+    spends one inner-value query per step and yields the given iterates in
+    turn; with at, a one-entry list, it keeps there the step last taken."""
 
     def steps(cp, x, room):
         for t, x in enumerate(iterates):
+            if not room():
+                return
+            if at is not None:
+                at[0] = t + 1
             cp.inner_value_batch(np.array([0]), x)
             yield 0, t + 1, x
 
     return steps
+
+
+def recorded_steps(stride, last):
+    """The steps a run of `last` steps records at this stride: the start, every
+    stride-th and the last."""
+    steps = [0, *range(stride, last + 1, stride)]
+    return steps if steps[-1] == last else [*steps, last]
 
 
 class TestFinalRow:
@@ -739,14 +752,13 @@ class TestFinalRow:
 
     @pytest.mark.parametrize("stride", [1, 3, 4, 20])
     def test_one_row_per_recorded_iterate(self, stride):
+        # strides 3 and 4 skip the interior iterates and end on a stride, with
+        # no extra row; stride 20 skips every iterate but the last, forced
         prob = linquad()
         iterates = [RngStream(50 + t).normal(size=prob.dim_x) for t in range(12)]
         res = solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps(iterates),
                              trace_stride=stride)
-        steps = [0, *range(stride, 13, stride)]
-        if steps[-1] != 12:
-            steps.append(12)
-        assert [r.inner_iter for r in res.trace] == steps
+        assert [r.inner_iter for r in res.trace] == recorded_steps(stride, 12)
         assert res.x_final is iterates[-1]
         assert res.trace[-1].objective == objective_H(prob, ZeroPenalty(), res.x_final)
 
@@ -757,6 +769,56 @@ class TestFinalRow:
         assert res.n_iters == 0 and np.array_equal(res.x_final, x0)
         assert [(r.epoch, r.inner_iter, r.queries) for r in res.trace] == [(0, 0, 0)]
         assert res.trace[0].objective == objective_H(prob, L1Penalty(0.05), x0)
+
+
+class TestTraceStride:
+    """`_drive` owns the trace stride: it calls the recorder on the start, on
+    every stride-th iterate and, forced, on the last, and on no other."""
+
+    # the strides and stubs of test_one_row_per_recorded_iterate, and a query
+    # budget that cuts the run at its 8th step, between two stride-3 rows
+    @pytest.mark.parametrize("stride, budget, last", [
+        (1, None, 12), (3, None, 12), (20, None, 12), (3, 8, 8),
+    ])
+    def test_one_record_call_per_recorded_iterate(self, stride, budget, last, monkeypatch):
+        prob = linquad()
+        calls, record = [], TraceRecorder.record
+        monkeypatch.setattr(TraceRecorder, "record", lambda rec, epoch, inner_iter, x,
+                            force=False: calls.append((inner_iter, force))
+                            or record(rec, epoch, inner_iter, x, force))
+        iterates = [RngStream(50 + t).normal(size=prob.dim_x) for t in range(12)]
+        res = solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps(iterates),
+                             trace_stride=stride, budget_queries=budget)
+        assert res.n_iters == last
+        assert calls == [(0, True), *((t, False) for t in range(stride, last + 1, stride)),
+                         (last, True)]
+        assert [r.inner_iter for r in res.trace] == recorded_steps(stride, last)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 15, 16, 40])
+    def test_a_row_waits_at_most_the_block_bound(self, stride, monkeypatch):
+        # a block holds as many rows as the bound lets its first row wait for:
+        # at stride 1 _ROW_BLOCK_STEPS rows, and from that stride on one row,
+        # evaluated at its own step; the forced start row goes alone, and the
+        # forced last record evaluates what is pending
+        prob = linquad()
+        at, blocks = [0], []  # (step of the evaluation, rows in its block)
+        objective_and_gradient = prob.objective_and_gradient
+        monkeypatch.setattr(prob, "objective_and_gradient", lambda x: blocks.append(
+            (at[0], len(np.atleast_2d(x)))) or objective_and_gradient(x))
+        iterates = [RngStream(t).normal(size=prob.dim_x) for t in range(200)]
+        res = solvers._drive(prob, ZeroPenalty(), 0.1, stub_steps(iterates, at),
+                             trace_stride=stride)
+        recorded, waits = recorded_steps(stride, 200), []
+        for step, k in blocks:
+            waits += [step - t for t in recorded[len(waits):len(waits) + k]]
+        assert [r.inner_iter for r in res.trace] == recorded and len(waits) == len(recorded)
+        assert blocks[0] == (0, 1)
+        full = (_ROW_BLOCK_STEPS - 1) // stride + 1
+        assert all((k - 1) * stride < _ROW_BLOCK_STEPS <= k * stride for _, k in blocks[1:-1])
+        assert blocks[1][1] == full and blocks[-1][1] <= full
+        assert max(waits) <= _ROW_BLOCK_STEPS - 1 and min(waits) == 0
+        if stride >= _ROW_BLOCK_STEPS:
+            assert max(waits) == 0
 
 
 class TestFiniteCheck:

@@ -7,11 +7,12 @@
 perfbench/workloads.py defines (the pool seeds that workload seed 0
 visits first), then seven edge runs: on a small policy-evaluation
 instance a `tol` stop, a query budget that ends an epoch midway, and a
-divergence; then three shipped steps that no workload runs: `vrsc_pg` on a
-small lasso, the finite sum's closed form, and `scpg_baseline`, the generic
-default, on that lasso and on a small linquad; last `scpg_baseline` on the
-policy-evaluation instance under the L1 weight 1e-2, whose x_final must
-hold an exact zero, so that a zero whose sign flips changes its sha256.
+divergence; then three shipped steps that no workload runs: `vrsc_pg` and
+`scpg_baseline` on a small lasso, the finite sum's and the lasso's closed
+forms, and `scpg_baseline`, the generic default, on a small linquad; last
+`scpg_baseline` on the policy-evaluation instance under the L1 weight 1e-2,
+whose x_final must hold an exact zero, so that a zero whose sign flips
+changes its sha256.
 Each edge instance and penalty is first solved by `cli.compute_reference`,
 whose optimum the edge runs take as x_star, so that their rows have a gap.
 Every call of the solvers' shared loop (`solvers._drive`), the step-size

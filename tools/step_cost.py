@@ -1,4 +1,4 @@
-"""Time one solver step and one lone trace row on five fixed instances.
+"""Time one solver step and one lone trace row on six fixed instances.
 
     python tools/step_cost.py [--steps 20000] [--repeats 5] [--root CHECKOUT]
 
@@ -14,9 +14,11 @@ runs in this one process, with one BLAS thread. The instances are the desk
 portfolio of configs/portfolio_desk.json (200 x 50), policy evaluation at
 S = 400 and S = 50 (gamma 0.95), a 100 x 100 linquad (M = 40, N = 30) and
 the 256 x 24 lasso of the benchmark's linquad_dense_trace, each with the
-configs' L1 weight 1e-3, at fixed steps at which no run diverges. `--root`
-runs another checkout's src/ instead of this one's, so that a change can be
-timed beside its parent. A diverged run raises; no timing is checked.
+configs' L1 weight 1e-3, and policy evaluation at S = 400 once more with the
+zero penalty of the benchmark's policy_eval_s400, whose prox is the identity
+and returns its argument uncopied, at fixed steps at which no run diverges.
+`--root` runs another checkout's src/ instead of this one's, so that a
+change can be timed beside its parent. A diverged run raises; no timing is checked.
 """
 
 import argparse
@@ -31,17 +33,21 @@ ROOT = Path(__file__).resolve().parents[1]
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
-# name -> (problem spec, vrsc_pg eta, scpg alpha0)
+POLICY_EVAL_S400 = {"kind": "policy_eval", "S": 400, "num_actions": 10, "gamma": 0.95,
+                    "seed": 1}
+L1 = ("l1", 1e-3)
+
+# name -> (problem spec, penalty (kind, weight), vrsc_pg eta, scpg alpha0)
 INSTANCES = {
     "portfolio_desk": ({"kind": "portfolio", "n": 200, "N": 50, "kappa_cov": 2, "seed": 1},
-                       0.01, 0.1),
-    "policy_eval_s400": ({"kind": "policy_eval", "S": 400, "num_actions": 10,
-                          "gamma": 0.95, "seed": 1}, 1.0, 1e-3),
+                       L1, 0.01, 0.1),
+    "policy_eval_s400": (POLICY_EVAL_S400, L1, 1.0, 1e-3),
     "policy_eval_s50": ({"kind": "policy_eval", "S": 50, "num_actions": 10,
-                         "gamma": 0.95, "seed": 1}, 1.0, 1e-3),
+                         "gamma": 0.95, "seed": 1}, L1, 1.0, 1e-3),
     "linquad_100": ({"kind": "linquad", "n1": 100, "n2": 100, "M": 40, "N": 30, "seed": 1},
-                    0.1, 0.1),
-    "lasso_256": ({"kind": "lasso", "n": 256, "N": 24, "seed": 2}, 0.3, 0.1),
+                    L1, 0.1, 0.1),
+    "lasso_256": ({"kind": "lasso", "n": 256, "N": 24, "seed": 2}, L1, 0.3, 0.1),
+    "policy_eval_s400_zero": (POLICY_EVAL_S400, ("zero", 0.0), 1.0, 1e-3),
 }
 
 ROWS = 64  # lone rows per timed repeat
@@ -57,11 +63,11 @@ def best_us(run, count, repeats):
     return best / count * 1e6
 
 
-def measure(spec, eta, alpha0, steps, repeats):
+def measure(spec, penalty, eta, alpha0, steps, repeats):
     from composolve import metrics, problems, solvers
-    from composolve.regularizers import L1Penalty
+    from composolve.regularizers import make_regularizer
 
-    prob, reg = problems.generate_problem(spec), L1Penalty(1e-3)
+    prob, reg = problems.generate_problem(spec), make_regularizer(*penalty)
     finite_sum = isinstance(prob, problems.FiniteSumProblem)
     m, batch = min(2000, steps), 1 if finite_sum else 5
     cfg = solvers.VrscpgConfig(eta=eta, m=m, S_epochs=steps // m, A=batch, B=batch, b1=batch,
@@ -108,12 +114,13 @@ def main(argv=None):
         ap.error("--steps and --repeats must be >= 1")
     sys.path.insert(0, str(args.root.resolve() / "src"))
 
-    print(f"{'instance':<18} {'vrsc_pg us/step':>16} {'scpg us/step':>13} {'us/row':>8} "
+    print(f"{'instance':<22} {'vrsc_pg us/step':>16} {'scpg us/step':>13} {'us/row':>8} "
           f"{'prox_svrg us/step':>18}")
-    for name, (spec, eta, alpha0) in INSTANCES.items():
-        vr_us, base_us, row_us, svrg_us = measure(spec, eta, alpha0, args.steps, args.repeats)
+    for name, (spec, penalty, eta, alpha0) in INSTANCES.items():
+        vr_us, base_us, row_us, svrg_us = measure(spec, penalty, eta, alpha0, args.steps,
+                                                  args.repeats)
         svrg = "" if svrg_us is None else f"{svrg_us:.2f}"
-        print(f"{name:<18} {vr_us:>16.2f} {base_us:>13.2f} {row_us:>8.2f} {svrg:>18}")
+        print(f"{name:<22} {vr_us:>16.2f} {base_us:>13.2f} {row_us:>8.2f} {svrg:>18}")
 
 
 if __name__ == "__main__":
