@@ -118,7 +118,8 @@ class TraceRecorder:
     from a full pass on the raw problem, so instrumentation never perturbs
     the query counts; the counter passed in is the solver's counted handle.
 
-    Every record call records a row: the caller picks the iterates, one in
+    Every record call records a row, except a forced record of the newest
+    row's own iterate, which adds none: the caller picks the iterates, one in
     every `stride` steps (`solvers._drive`), and the stride only sizes the
     block. A recorded row is first kept pending: its epoch, inner iteration,
     wall time and query triple, read when it is recorded, and a reference to

@@ -147,15 +147,19 @@ def test_08_linear_convergence_strongly_convex():
     reg = L1Penalty(1e-3)
     ref = prox_full_gradient(prob, reg, 0.2, 400_000, tol=1e-14,
                              trace_stride=10**9)
-    slopes, r2s, final_gaps = [], [], []
+    slopes, r2s, final_gaps, fitted = [], [], [], []
     for seed in range(5):
         cfg = VrscpgConfig(eta=0.2, m=50, S_epochs=40, A=10, B=10, b1=10,
                            seed=seed)
         res = vrsc_pg(prob, reg, cfg, x_star=ref.x_final, trace_stride=50)
-        gaps = np.array([max(r.gap, 1e-300) for r in res.trace])
-        final_gaps.append(float(gaps.min()))
-        logs = np.log10(gaps)
-        keep = logs > -12  # drop records at the numerical floor
+        final_gaps.append(min(r.gap for r in res.trace))
+        # a gap at the optimum's rounding level reads 0 or below, so its log is
+        # taken at 1e-300 and the fit drops it with every row below 1e-12
+        logs = np.log10([max(r.gap, 1e-300) for r in res.trace])
+        keep = logs > -12
+        fitted.append(int(keep.sum()))
+        # through two rows any line fits with R2 = 1
+        assert fitted[-1] >= 3, (seed, fitted[-1])
         t = np.arange(len(logs))[keep]
         y = logs[keep]
         slope, intercept = np.polyfit(t, y, 1)
@@ -170,7 +174,8 @@ def test_08_linear_convergence_strongly_convex():
     )
     report(8, "geometric objective-gap decay per epoch", ok,
            f"median slope {np.median(slopes):.2f}, "
-           f"R2 {np.median(r2s):.3f}, gap {np.median(final_gaps):.1e}")
+           f"R2 {np.median(r2s):.3f}, fitted rows {min(fitted)} to {max(fitted)} "
+           f"of {len(logs)}, median least gap {np.median(final_gaps):.1e}")
 
 
 def test_09_contraction_factor_unit_constants():

@@ -60,6 +60,19 @@ class TestSampleWithReplacement:
         assert np.array_equal(block_rng.integers(1000, size=8),
                               step_rng.integers(1000, size=8))
 
+    @pytest.mark.parametrize("n", [40, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_population_of_one_takes_no_stream_word(self, n, seed):
+        # vrsc_pg on a finite sum (n2 = 1) at A = B = b1 = 1 draws [1, 1, n]
+        # blocks; its steps equal prox_svrg's only if column 2 is the n-draws
+        # that prox_svrg makes alone, and the stream ends where those leave it
+        block_rng, alone_rng = RngStream(seed), RngStream(seed)
+        block = sample_with_replacement(block_rng, np.array([1, 1, n]), 100)
+        assert not block[:, :2].any()
+        assert np.array_equal(block[:, 2], sample_with_replacement(alone_rng, n, 100))
+        assert np.array_equal(block_rng.integers(1000, size=8),
+                              alone_rng.integers(1000, size=8))
+
     def test_block_zero_rows_and_bad_population(self):
         assert sample_with_replacement(RngStream(0), np.array([3, 4]), 0).shape == (0, 2)
         with pytest.raises(ValueError):
